@@ -28,8 +28,8 @@
    - [monitor_commit_overhead], a transactional commit with streaming
      temporal monitors attached relative to the same commit without
      them, fails above --monitor-overhead-max (default 0: disabled; CI
-     passes 3 — monitoring a two-axiom theory must stay within 3x the
-     bare commit). Machine-free, gated whenever the maximum is > 0.
+     passes 3 — monitoring axioms of modal depth 0 to 3 must stay
+     within 3x the bare commit). Machine-free, gated whenever the maximum is > 0.
    - [gateway_rps], aggregate pipelined requests/second through the
      socket gateway, fails below --rps-min (default 0: disabled; CI
      passes 200). The floor is absolute, not machine-relative — it is

@@ -664,15 +664,15 @@ let client_cmd =
        already consumed), a close is fatal. *)
     let rec session attempt =
       let sock = connect attempt in
-      let ic = Unix.in_channel_of_descr sock in
+      let r = Protocol.Reader.create sock in
       let oc = Unix.out_channel_of_descr sock in
       let exchange req =
         Protocol.write_frame oc req;
-        match Protocol.read_frame ic with
-        | Some resp ->
+        match Protocol.Reader.next r ~block:true with
+        | `Frame resp ->
           print_endline resp;
           incr responded
-        | None -> raise End_of_file
+        | `Eof | `Pending -> raise End_of_file
       in
       let rec stdin_loop () =
         (* catch only stdin's own end: a close from the server side
@@ -725,20 +725,20 @@ let client_cmd =
       let conns =
         Array.init pool (fun _ ->
             let sock = connect 0 in
-            (Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock))
+            (Protocol.Reader.create sock, Unix.out_channel_of_descr sock))
       in
       let count = ref 0 in
       List.iteri
         (fun i req ->
-          let ic, oc = conns.(i mod pool) in
+          let r, oc = conns.(i mod pool) in
           match
             Protocol.write_frame oc req;
-            Protocol.read_frame ic
+            Protocol.Reader.next r ~block:true
           with
-          | Some resp ->
+          | `Frame resp ->
             incr count;
             if not quiet then print_endline resp
-          | None -> exit_err "server closed the connection"
+          | `Eof | `Pending -> exit_err "server closed the connection"
           | exception (End_of_file | Sys_error _) ->
             exit_err "server closed the connection"
           | exception Error.Error e -> exit_err "%s" (Error.to_string e))
@@ -808,13 +808,13 @@ let monitor_cmd =
            | _ -> exit_err "cannot connect: %s" (Unix.error_message err))
       in
       let sock = connect 0 in
-      let ic = Unix.in_channel_of_descr sock in
+      let r = Protocol.Reader.create sock in
       let oc = Unix.out_channel_of_descr sock in
       let exchange req =
         Protocol.write_frame oc (Json.to_string req);
-        match Protocol.read_frame ic with
-        | None -> exit_err "server closed the connection"
-        | Some payload ->
+        match Protocol.Reader.next r ~block:true with
+        | `Eof | `Pending -> exit_err "server closed the connection"
+        | `Frame payload ->
           (match Json.parse payload with
            | exception Json.Parse_error m -> exit_err "bad reply: %s" m
            | v -> v)
@@ -852,9 +852,9 @@ let monitor_cmd =
       let rec stream seen =
         if events > 0 && seen >= events then ()
         else
-          match Protocol.read_frame ic with
-          | None -> ()
-          | Some payload ->
+          match Protocol.Reader.next r ~block:true with
+          | `Eof | `Pending -> ()
+          | `Frame payload ->
             print_endline payload;
             flush stdout;
             let seen =

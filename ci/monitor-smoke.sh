@@ -22,7 +22,11 @@ gate=_build/default/bench/gate.exe
 
 # The static axiom mirrors the schema's constraint; the transition
 # axiom (once offered, always offered) is the stronger promise the
-# schema does NOT enforce -- cancel(c) breaks it.
+# schema does NOT enforce -- cancel(c) breaks it. The paper's depth-2
+# axiom (a student's course count never drops to zero) holds on a
+# history that only offers and cancels courses; it keeps the nested
+# window in the latency gate below while the store grows to 6000
+# offered courses.
 cat > monitor-smoke.theory <<'EOF'
 theory university
 
@@ -35,6 +39,9 @@ pred takes : student, course
 axiom static: ~(exists s:student, c:course. takes(s, c) & ~offered(c))
 
 axiom no_retract: forall c:course. (offered(c) -> box offered(c))
+
+axiom transition: ~(exists s:student, c:course.
+                      dia (takes(s, c) & dia ~(exists c2:course. takes(s, c2))))
 EOF
 
 $fds serve specs/university.schema --socket leader.sock --transactional \

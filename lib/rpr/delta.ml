@@ -200,6 +200,12 @@ let rec materialize ~domain ?consts (db : Db.t) (e : Relalg.expr) : node =
     in
     { out; kids = [ ke; ks ] }
 
+(* [(out \ del) ∪ ins], physically [out] when nothing changed, so the
+   indexes it built lazily survive into the next commit. *)
+let patch out del ins =
+  if Relation.is_empty del && Relation.is_empty ins then out
+  else Relation.union (Relation.diff out del) ins
+
 (** Push a delta through a materialized plan. Returns the updated
     materialization and the exact insert/delete sets of the plan's
     output ([out' = (out \ del) ∪ ins]). Raises {!Not_incremental}
@@ -212,6 +218,9 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
   let matches ps row = Relalg.row_matches ~domain ?consts after ps row in
   let key args row = Relalg.arg_values ~domain ?consts after args row in
   let joinr rels ps = Relalg.join_rels ~domain ?consts after rels ps in
+  (* A delta-sized probe into a whole (usually just rebuilt) operator
+     output: a tree lookup, never an O(n) membership-table build. *)
+  let probe tu r = Relation.Tuple_set.mem tu (Relation.tuple_set r) in
   let rec go (e : Relalg.expr) (n : node) : node * Relation.t * Relation.t =
     let none = Relation.empty (Relation.sorts n.out) in
     match (e, n.kids) with
@@ -228,7 +237,7 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
       let k', ins1, del1 = go e1 k in
       let ins = Relation.filter (matches ps) ins1
       and del = Relation.filter (matches ps) del1 in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = [ k' ] }, ins, del)
     | Relalg.Project (cols, e1), [ k ] ->
       let k', ins1, del1 = go e1 k in
@@ -237,24 +246,45 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
         if Relation.is_empty del1 then none
         else begin
           (* a projected tuple leaves only when no remaining child row
-             still derives it: one scan of the new child output *)
+             still derives it. Child rows are sorted, so when the
+             projection keeps the leading child columns, a candidate's
+             values for them seek straight to its deriving rows;
+             otherwise one scan of the new child output. *)
           let cand = Relalg.project_rel cols del1 in
-          let arr_project row =
-            let arr = Array.of_list row in
-            List.map (fun i -> arr.(i)) cols
+          let project row = List.map (List.nth row) cols in
+          let rec lead j =
+            match List.find_index (Int.equal j) cols with
+            | Some i -> i :: lead (j + 1)
+            | None -> []
           in
-          let survivors =
-            Relation.fold
-              (fun row acc ->
-                let p = arr_project row in
-                if Relation.mem p cand then Relation.add p acc else acc)
-              k'.out
-              (Relation.empty (Relation.sorts cand))
+          let rec is_prefix pre row =
+            match (pre, row) with
+            | [], _ -> true
+            | x :: pre, y :: row -> Value.equal x y && is_prefix pre row
+            | _ :: _, [] -> false
           in
-          Relation.diff cand survivors
+          match lead 0 with
+          | [] ->
+            let survivors =
+              Relation.fold
+                (fun row acc ->
+                  let p = project row in
+                  if Relation.mem p cand then Relation.add p acc else acc)
+                k'.out
+                (Relation.empty (Relation.sorts cand))
+            in
+            Relation.diff cand survivors
+          | lead ->
+            let derived p =
+              let from = List.map (List.nth p) lead in
+              Relation.Tuple_set.to_seq_from from (Relation.tuple_set k'.out)
+              |> Seq.take_while (is_prefix from)
+              |> Seq.exists (fun row -> Relation.Tuple.equal (project row) p)
+            in
+            Relation.filter (fun p -> not (derived p)) cand
         end
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = [ k' ] }, ins, del)
     | Relalg.Product (a, b), [ ka; kb ] ->
       let ka', insA, delA = go a ka and kb', insB, delB = go b kb in
@@ -265,17 +295,17 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
       let ins = Relation.union (prod insA kb'.out) (prod ka'.out insB) in
       let del = Relation.union (prod delA kb.out) (prod ka.out delB) in
       let ins = Relation.diff ins n.out in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = [ ka'; kb' ] }, ins, del)
     | Relalg.Union (a, b), [ ka; kb ] ->
       let ka', insA, delA = go a ka and kb', insB, delB = go b kb in
       let ins = Relation.diff (Relation.union insA insB) n.out in
       let del =
         Relation.union
-          (Relation.filter (fun t -> not (Relation.mem t kb'.out)) delA)
-          (Relation.filter (fun t -> not (Relation.mem t ka'.out)) delB)
+          (Relation.filter (fun t -> not (probe t kb'.out)) delA)
+          (Relation.filter (fun t -> not (probe t ka'.out)) delB)
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = [ ka'; kb' ] }, ins, del)
     | Relalg.Join (inputs, ps), kids ->
       let advanced = List.map2 go inputs kids in
@@ -284,8 +314,9 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
       let olds = List.map (fun k -> k.out) kids in
       let replace l i x = List.mapi (fun j y -> if i = j then x else y) l in
       let fire base i x acc =
-        if Relation.is_empty x then acc
-        else Relation.union acc (joinr (replace base i x) ps)
+        let rels = replace base i x in
+        if List.exists Relation.is_empty rels then acc
+        else Relation.union acc (joinr rels ps)
       in
       let ins =
         List.fold_left
@@ -299,11 +330,11 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
           (none, 0) advanced
         |> fst
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = kids' }, ins, del)
     | Relalg.Antijoin (e1, sub, args), [ ke; ks ] ->
       let ke', insE, delE = go e1 ke and ks', insS, delS = go sub ks in
-      let blocked t = Relation.mem (key args t) ks'.out in
+      let blocked t = probe (key args t) ks'.out in
       let ins =
         let from_e = Relation.filter (fun t -> not (blocked t)) insE in
         if Relation.is_empty delS then from_e
@@ -320,7 +351,7 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
           Relation.union from_e
             (Relation.filter (fun t -> Relation.mem (key args t) insS) n.out)
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = patch n.out del ins in
       ({ out; kids = [ ke'; ks' ] }, ins, del)
     | _ -> raise Not_incremental
   in

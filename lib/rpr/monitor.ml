@@ -5,12 +5,12 @@
     correspondence the refinement levels use), translate the temporal
     wff through {!Fdbs_temporal.Timesort} into a first-order wff over
     the time-widened monitor schema, close the free [now] variable with
-    a literal time point, and hand the result to the {!Planner}. A
-    two-state monitor database plays the one-step universe of each
-    commit; consecutive monitor databases differ by the previous
-    commit's delta at time 0 plus the current one at time 1, which is
-    what lets {!Delta.advance} carry materializations across commits
-    instead of re-evaluating plans. *)
+    a literal time point, and hand the result to the {!Planner}. One
+    window database of D + 1 time slots (D the theory's largest modal
+    depth) plays the recent universe of every axiom; consecutive
+    windows differ by the last D + 1 commit deltas, each tagged with
+    its slot, which is what lets {!Delta.advance} carry
+    materializations across commits instead of re-evaluating plans. *)
 
 open Fdbs_kernel
 open Fdbs_logic
@@ -39,13 +39,13 @@ type t = {
   mons : compiled list;
   plans : (string * Relalg.expr) list;  (** per-axiom compiled plans *)
   skipped : (string * string) list;
-  max_depth : int;
+  max_depth : int;  (** D: the window holds D + 1 states *)
   mdomain_times : Domain.t;  (** the time carrier, unioned per check *)
   lock : Mutex.t;
   mutable commits : int;
-  mutable window : Db.t list;  (** recent states, newest first *)
-  mutable mdb : Db.t option;  (** two-state db of the last published commit *)
-  mutable prev_delta : Delta.t option;
+  mutable last : Db.t option;  (** the last published state *)
+  mutable mdb : Db.t;  (** its window: slot j holds state [commits - D + j] *)
+  mutable deltas : Delta.t list;  (** the last D commit deltas, oldest first *)
   mutable mats : (string * Delta.node) list;
   mutable total_violations : int;
 }
@@ -186,9 +186,9 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
       }
     in
     let msig = Timesort.extend_signature rsig in
-    let mons, plans, skipped =
+    let hosted, skipped =
       List.fold_left
-        (fun (mons, plans, skipped) (ax : Ttheory.axiom) ->
+        (fun (hosted, skipped) (ax : Ttheory.axiom) ->
           let name = ax.Ttheory.ax_name in
           let tf = rename_preds ren ax.Ttheory.ax_formula in
           let shared_used =
@@ -198,46 +198,44 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
               (used_preds tf)
           in
           if shared_used <> [] then
-            ( mons,
-              plans,
+            ( hosted,
               (name,
                Fmt.str "mentions shared predicate%s %s (no relation to monitor)"
                  (if List.length shared_used > 1 then "s" else "")
                  (String.concat ", " shared_used))
               :: skipped )
-          else
-            let depth = Tformula.modal_depth tf in
-            let kind = Tformula.classify tf in
-            let f = Timesort.translate msig ~now:now_var tf in
-            (* Verdict time point: a static axiom speaks about the
-               post-commit state (time 1 of the two-state db); a
-               transition axiom about the window start (time 0). *)
-            let at = if depth = 0 then 1 else 0 in
-            let f =
-              Formula.subst
-                (Term.Subst.of_list [ (now_var, Term.Lit (Value.Int at)) ])
-                f
-            in
-            let plan = Planner.plan_wff mschema f in
-            let m =
-              {
-                m_name = name;
-                m_kind = kind;
-                m_depth = depth;
-                m_wff = f;
-                m_compiled = plan <> None;
-                m_violations = 0;
-              }
-            in
-            let plans =
-              match plan with Some e -> (name, e) :: plans | None -> plans
-            in
-            (m :: mons, plans, skipped))
-        ([], [], []) theory.Ttheory.axioms
+          else ((name, tf) :: hosted, skipped))
+        ([], []) theory.Ttheory.axioms
     in
-    let mons = List.rev mons in
+    let hosted = List.rev hosted in
     let max_depth =
-      List.fold_left (fun acc m -> max acc m.m_depth) 1 mons
+      List.fold_left (fun acc (_, tf) -> max acc (Tformula.modal_depth tf)) 1 hosted
+    in
+    let mons, plans =
+      List.split
+        (List.map
+           (fun (name, tf) ->
+             let depth = Tformula.modal_depth tf in
+             (* Verdict time point: slot D holds the post-commit state,
+                so an axiom of depth d speaks about slot D - d, the
+                oldest state whose d successors the window holds. *)
+             let f =
+               Formula.subst
+                 (Term.Subst.of_list
+                    [ (now_var, Term.Lit (Value.Int (max_depth - depth))) ])
+                 (Timesort.translate msig ~now:now_var tf)
+             in
+             let plan = Planner.plan_wff mschema f in
+             ( {
+                 m_name = name;
+                 m_kind = Tformula.classify tf;
+                 m_depth = depth;
+                 m_wff = f;
+                 m_compiled = plan <> None;
+                 m_violations = 0;
+               },
+               Option.map (fun e -> (name, e)) plan ))
+           hosted)
     in
     Ok
       {
@@ -246,7 +244,7 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
         mschema;
         consts = eval_consts;
         mons;
-        plans = List.rev plans;
+        plans = List.filter_map Fun.id plans;
         skipped = List.rev skipped;
         max_depth;
         mdomain_times =
@@ -255,9 +253,9 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
             Domain.empty;
         lock = Mutex.create ();
         commits = 0;
-        window = [];
-        mdb = None;
-        prev_delta = None;
+        last = None;
+        mdb = Db.empty;
+        deltas = [];
         mats = [];
         total_violations = 0;
       }
@@ -292,71 +290,66 @@ let widen_rel time (r : Relation.t) : Relation.t =
     (Relation.sorts r @ [ Timesort.time_sort ])
     (List.map (fun tu -> tu @ [ Value.Int time ]) (Relation.to_list r))
 
-let time_pair i j =
-  [ Value.Int i; Value.Int j ]
-
-let accessible_chain n =
-  Relation.of_list
-    [ Timesort.time_sort; Timesort.time_sort ]
-    (List.init n (fun j -> time_pair j (j + 1)))
-
-(* The flattened database of a window of states (oldest first): every
-   relation widened per state, accessibility the one-step chain. *)
-let window_db (t : t) (states : Db.t list) : Db.t =
-  let db =
+(* The window database with every slot holding [db] (attach/resync):
+   each relation widened once per slot 0..D, accessibility the
+   one-step chain 0 -> 1 -> ... -> D. *)
+let window_db (t : t) (db : Db.t) : Db.t =
+  let slots = List.init (t.max_depth + 1) Fun.id in
+  let db' =
     List.fold_left
-      (fun db (r : Schema.rel_decl) ->
-        let widened =
-          List.mapi
-            (fun j st ->
-              match Db.relation st r.Schema.rname with
-              | Some rel -> widen_rel j rel
-              | None -> Relation.empty (r.Schema.rsorts @ [ Timesort.time_sort ]))
-            states
+      (fun acc (r : Schema.rel_decl) ->
+        let rel =
+          match Db.relation db r.Schema.rname with
+          | Some rel -> rel
+          | None -> Relation.empty r.Schema.rsorts
         in
         Db.with_relation r.Schema.rname
-          (List.fold_left Relation.union
+          (List.fold_left
+             (fun u j -> Relation.union u (widen_rel j rel))
              (Relation.empty (r.Schema.rsorts @ [ Timesort.time_sort ]))
-             widened)
-          db)
+             slots)
+          acc)
       Db.empty t.schema.Schema.relations
   in
   Db.with_relation Timesort.accessible
-    (accessible_chain (List.length states - 1))
-    db
+    (Relation.of_list
+       [ Timesort.time_sort; Timesort.time_sort ]
+       (List.init t.max_depth (fun j -> [ Value.Int j; Value.Int (j + 1) ])))
+    db'
 
-let widen_delta_map time m =
-  Delta.SMap.map (fun r -> widen_rel time r) m
-
-(* The two-state monitor database's delta between consecutive commits:
-   the previous commit's delta applies at time 0 (before' = after) and
-   the current one at time 1. Tags keep the two disjoint, so the
-   insert/delete invariants carry over from the base deltas. *)
-let monitor_delta ~(prev : Delta.t) ~(cur : Delta.t) : Delta.t =
-  let merge =
-    Delta.SMap.union (fun _ a b -> Some (Relation.union a b))
+(* The window database's delta for one commit: slot j moves by the
+   j-th of the last D+1 commit deltas (oldest first), tagged with time
+   j. Tags keep the slots disjoint, so the insert/delete invariants
+   carry over from the base deltas. *)
+let window_delta (deltas : Delta.t list) : Delta.t =
+  let tagged side =
+    List.fold_left
+      (fun (j, acc) d ->
+        ( j + 1,
+          Delta.SMap.union
+            (fun _ a b -> Some (Relation.union a b))
+            acc
+            (Delta.SMap.map (widen_rel j) (side d)) ))
+      (0, Delta.SMap.empty) deltas
+    |> snd
   in
   {
-    Delta.inserts =
-      merge (widen_delta_map 0 prev.Delta.inserts) (widen_delta_map 1 cur.Delta.inserts);
-    deletes =
-      merge (widen_delta_map 0 prev.Delta.deletes) (widen_delta_map 1 cur.Delta.deletes);
+    Delta.inserts = tagged (fun d -> d.Delta.inserts);
+    deletes = tagged (fun d -> d.Delta.deletes);
     scalars_changed = false;
   }
 
-let take n l =
-  let rec go acc n = function
-    | x :: rest when n > 0 -> go (x :: acc) (n - 1) rest
-    | _ -> List.rev acc
-  in
-  go [] n l
+(* The window restarted at [db]: every slot holds it, so the deltas of
+   the D commits before it are empty. *)
+let restart t db = (window_db t db, List.init t.max_depth (fun _ -> Delta.empty))
 
 let attach t db =
   Mutex.protect t.lock (fun () ->
+      let mdb, deltas = restart t db in
       t.commits <- 0;
-      t.window <- [ db ];
-      t.mdb <- None;
-      t.prev_delta <- None;
+      t.last <- Some db;
+      t.mdb <- mdb;
+      t.deltas <- deltas;
       t.mats <- [])
 
 let error_of_event (ev : event) : Error.t =
@@ -380,26 +373,19 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
   let t0 = Mclock.now_us () in
   let mdomain = Domain.union domain t.mdomain_times in
   let in_sync =
-    match t.window with cur :: _ -> cur == before | [] -> false
+    match t.last with Some cur -> cur == before | None -> false
   in
-  if (not in_sync) && t.window <> [] then Metrics.incr c_resync;
+  if (not in_sync) && t.last <> None then Metrics.incr c_resync;
   let k = if in_sync then t.commits + 1 else 1 in
-  let window' = take (t.max_depth + 1) (after :: (if in_sync then t.window else [ before ])) in
+  let (mdb, deltas), mats =
+    if in_sync then ((t.mdb, t.deltas), t.mats) else (restart t before, [])
+  in
+  (* Slide the window: slot j moves by the delta of commit k - D + j. *)
   let delta = Delta.of_dbs ~before ~after in
-  (* The two-state database of this commit: advanced by the tagged
-     delta when we have last commit's, rebuilt otherwise. *)
-  let mdelta =
-    match (in_sync, t.mdb, t.prev_delta) with
-    | true, Some _, Some prev -> Some (monitor_delta ~prev ~cur:delta)
-    | _ -> None
-  in
-  let mdb' =
-    match (mdelta, t.mdb) with
-    | Some md, Some m -> Delta.apply md m
-    | _ -> window_db t [ before; after ]
-  in
-  let eval_shallow (m : compiled) :
-      bool * (string * Delta.node) option =
+  let deltas = deltas @ [ delta ] in
+  let md = window_delta deltas in
+  let mdb' = Delta.apply md mdb in
+  let step (m : compiled) : bool * (string * Delta.node) option =
     match List.assoc_opt m.m_name t.plans with
     | None ->
       (* outside the safe fragment: naive evaluation every commit *)
@@ -411,8 +397,8 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
         let node = Delta.materialize ~domain:mdomain ~consts:t.consts mdb' plan in
         (not (Relation.is_empty node.Delta.out), Some (m.m_name, node))
       in
-      match (mdelta, List.assoc_opt m.m_name t.mats) with
-      | Some md, Some node -> (
+      match List.assoc_opt m.m_name mats with
+      | Some node -> (
         match
           Delta.advance ~domain:mdomain ~consts:t.consts ~after:mdb' md plan node
         with
@@ -420,20 +406,7 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
           Metrics.incr c_hits;
           (not (Relation.is_empty node'.Delta.out), Some (m.m_name, node'))
         | exception Delta.Not_incremental -> rebuild c_fallback)
-      | _ -> rebuild c_misses)
-  in
-  (* Depth ≥ 2 monitors re-evaluate over their sliding window; the
-     verdict about state [k - d] exists once the window is full. *)
-  let eval_deep (m : compiled) : bool =
-    let states = List.rev (take (m.m_depth + 1) window') in
-    let wdb = window_db t states in
-    match List.assoc_opt m.m_name t.plans with
-    | Some plan ->
-      Metrics.incr c_misses;
-      not (Relation.is_empty (Relalg.eval ~domain:mdomain ~consts:t.consts wdb plan))
-    | None ->
-      Metrics.incr c_fallback;
-      Relcalc.holds ~domain:mdomain ~consts:t.consts wdb m.m_wff
+      | None -> rebuild c_misses)
   in
   let events = ref [] in
   let violated = ref [] in
@@ -441,22 +414,15 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
   List.iter
     (fun (m : compiled) ->
       Metrics.incr c_checks;
-      let verdict =
-        if m.m_depth <= 1 then (
-          let v, mat = eval_shallow m in
-          (match mat with Some nm -> mats' := nm :: !mats' | None -> ());
-          Some v)
-        else if k >= m.m_depth then Some (eval_deep m)
-        else None  (* window not yet full: no verdict about any state *)
-      in
-      match verdict with
-      | Some false ->
-        let lag = if m.m_kind = Tformula.Static then 0 else m.m_depth in
+      let holds, mat = step m in
+      Option.iter (fun nm -> mats' := nm :: !mats') mat;
+      (* an axiom of depth d speaks about state k - d, which exists
+         once the window holds k >= d commits *)
+      if k >= m.m_depth && not holds then (
         events :=
-          { ev_axiom = m.m_name; ev_kind = m.m_kind; ev_state = k - lag }
+          { ev_axiom = m.m_name; ev_kind = m.m_kind; ev_state = k - m.m_depth }
           :: !events;
-        violated := m :: !violated
-      | _ -> ())
+        violated := m :: !violated))
     t.mons;
   let events = List.rev !events in
   let violated = !violated in
@@ -465,9 +431,9 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
   let publish () =
     Mutex.protect t.lock (fun () ->
         t.commits <- k;
-        t.window <- window';
-        t.mdb <- Some mdb';
-        t.prev_delta <- Some delta;
+        t.last <- Some after;
+        t.mdb <- mdb';
+        t.deltas <- List.tl deltas;
         t.mats <- mats';
         t.total_violations <- t.total_violations + List.length events;
         List.iter (fun m -> m.m_violations <- m.m_violations + 1) violated;

@@ -9,24 +9,30 @@
     alternative semantics: the time-sorted translation
     ({!Fdbs_temporal.Timesort}). Each axiom is translated into an
     ordinary first-order wff over a {e monitor schema} whose relations
-    carry a trailing [time] column plus an [accessible] relation; the
-    one-step universe of a commit is the two-state database
-    [widen(before, 0) ∪ widen(after, 1)] with [accessible = {(0,1)}].
-    The translated wff is closed by fixing the free time variable [now]
-    to a literal time point, so the {!Planner} compiles it into a plan
-    like any other constraint — and the {!Delta} rules advance a
-    materialization of that plan from commit to commit: the monitor
-    database's delta between consecutive commits is exactly the
-    previous commit's delta tagged with time 0 plus the current one
-    tagged with time 1 (because [before'] = [after]).
+    carry a trailing [time] column plus an [accessible] relation.
 
-    Verdict timing follows modal depth. A static axiom (depth 0) is
-    checked on the post-commit state; a one-step transition axiom
-    (depth 1) yields a verdict about the {e pre}-commit state as soon
-    as its successor exists; an axiom of depth d nests d commits deep,
-    so its verdict about state [k - d] is only emitted at commit [k] —
-    such monitors keep a sliding window of the last [d + 1] states and
-    re-evaluate their (still compiled) plan over it.
+    One {e window} database serves every axiom of a theory: D + 1
+    time slots, D the largest modal depth among its axioms (at least
+    1), where at commit [k] slot [j] holds state [k - D + j] widened
+    with time [j] and [accessible] is the one-step chain
+    [0 -> 1 -> ... -> D]. The translated wff is closed by fixing the
+    free time variable [now] to slot [D - d] for an axiom of depth [d]
+    (slot D, the post-commit state, for a static one), so the
+    {!Planner} compiles it into a plan like any other constraint. The
+    window slides by deltas alone: commit [k + 1] moves slot [j] by
+    the delta of commit [k - D + j + 1], so the window's delta is the
+    last D + 1 commit deltas, each tagged with its slot, and the
+    {!Delta} rules advance every axiom's materialization from commit
+    to commit whatever its depth. The window is built from full states
+    only at {!attach} and on resynchronization, with every slot
+    holding the same state.
+
+    Verdict timing follows modal depth. An axiom of depth [d] speaks
+    at commit [k] about state [k - d]: a static axiom about the
+    post-commit state, a one-step transition axiom about the
+    pre-commit state, a nested one about the state [d] commits back.
+    Until [k >= d] that state predates the window and the axiom emits
+    nothing.
 
     Monitors follow the transactional publish discipline: {!check}
     computes prospective verdicts without mutating anything and returns
@@ -51,7 +57,8 @@ type event = {
 type compiled = private {
   m_name : string;
   m_kind : Tformula.kind;
-  m_depth : int;  (** modal depth; window size is [m_depth + 1] *)
+  m_depth : int;
+      (** modal depth; verdicts lag the commit stream by [m_depth] *)
   m_wff : Formula.t;
       (** the closed time-sorted translation the planner evaluates *)
   m_compiled : bool;  (** [false] = outside the safe fragment, naive *)

@@ -231,14 +231,3 @@ let query_delta (env : env) ~(before : Db.t) ~(delta : Delta.t) ?shared
         Trace.add_attr "verdict" (string_of_bool v);
         (v, publish))
   else check ()
-
-(** Operational meaning with explicit write sets: every outcome of
-    [stmt] paired with the exact {!Delta.t} taking [db] to it —
-    [Rel_assign]/[Insert]/[Delete] surface their writes,
-    [Test]/[Skip]/guards produce the empty delta, compounds compose.
-    Computed by state differencing, which is O(changed relations)
-    thanks to structure sharing across {!exec}. *)
-let exec_delta (env : env) (stmt : Stmt.t) (db : Db.t) :
-  (Db.t * Delta.t) list =
-  exec env stmt db
-  |> List.map (fun out -> (out, Delta.of_dbs ~before:db ~after:out))

@@ -46,11 +46,6 @@ exception Exec_error of string
     relations or exceeded iteration limits. *)
 val exec : env -> Stmt.t -> Db.t -> Db.t list
 
-(** {!exec} with explicit write sets: every outcome paired with the
-    exact {!Delta.t} taking the input state to it. O(changed relations)
-    per outcome thanks to structure sharing. *)
-val exec_delta : env -> Stmt.t -> Db.t -> (Db.t * Delta.t) list
-
 (** Procedure meaning k (paper rule (7)): run the body with the formal
     parameters bound to the arguments; restore the parameters' previous
     scalar values in every outcome. *)

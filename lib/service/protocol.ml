@@ -142,32 +142,6 @@ let call_of_json (v : Json.t) : (Journal.call, Error.t) result =
 
 (* --- framing --- *)
 
-(* A blank header line is skipped, not end-of-stream: a stray
-   keepalive newline from a pipelining client must not kill the
-   connection. (It used to return [None], silently ending the session.) *)
-let rec read_frame (ic : in_channel) : string option =
-  match input_line ic with
-  | exception End_of_file -> None
-  | header ->
-    let header = String.trim header in
-    if header = "" then read_frame ic
-    else (
-      match int_of_string_opt header with
-      | None ->
-        raise
-          (Error.Error (proto_error "bad frame header %S: expected a length" header))
-      | Some n when n < 0 || n > max_frame ->
-        raise (Error.Error (proto_error "bad frame length %d" n))
-      | Some n ->
-        let buf = really_input_string ic n in
-        (* consume the trailing newline; tolerate its absence at EOF *)
-        (try
-           match input_char ic with
-           | '\n' -> ()
-           | _ -> raise (Error.Error (proto_error "frame missing trailing newline"))
-         with End_of_file -> ());
-        Some buf)
-
 (* Write a frame into the channel's buffer without flushing — the
    pipelined server corks a burst of responses and flushes once. *)
 let output_frame (oc : out_channel) (payload : string) : unit =
@@ -229,8 +203,9 @@ module Reader = struct
     end
 
   (* One complete frame from the buffered bytes, or [`More]. Blank
-     header lines are consumed and skipped, mirroring {!read_frame}.
-     Raises {!Error.Error} on a malformed frame. *)
+     header lines are consumed and skipped, not read as end of stream:
+     a stray keepalive newline from a pipelining client must not kill
+     the connection. Raises {!Error.Error} on a malformed frame. *)
   let try_frame r : [ `Frame of string | `More ] =
     let fail e = raise (Error.Error e) in
     let rec go () =

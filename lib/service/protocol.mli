@@ -61,11 +61,6 @@ val parse_call : string -> (Journal.call, Error.t) result
 
 val call_of_json : Json.t -> (Journal.call, Error.t) result
 
-(** [read_frame ic] is the next payload, [None] on a clean end of
-    stream. Blank header lines are skipped, not treated as EOF. Raises
-    {!Fdbs_kernel.Error.Error} on a malformed frame. *)
-val read_frame : in_channel -> string option
-
 (** Buffer a frame without flushing — callers pipelining several
     responses cork them and flush once. *)
 val output_frame : out_channel -> string -> unit

@@ -592,7 +592,7 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
       sleep_poll server !backoff;
       backoff := Stdlib.min 0.5 (!backoff *. 2.)
     | Some fd ->
-      let ic = Unix.in_channel_of_descr fd in
+      let r = Protocol.Reader.create fd in
       let oc = Unix.out_channel_of_descr fd in
       (try
          let streaming = ref true in
@@ -600,9 +600,9 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
            Protocol.write_frame oc
              (Protocol.fetch_request ~id:(Json.Num 0.)
                 ~from:(Replica.applied replica) ~epoch:(Replica.epoch replica));
-           match Protocol.read_frame ic with
-           | None -> streaming := false
-           | Some payload ->
+           match Protocol.Reader.next r ~block:true with
+           | `Eof | `Pending -> streaming := false
+           | `Frame payload ->
              (match Protocol.fetched_of_response ~schema payload with
               | Result.Error e ->
                 (* e.g. this leader is stale (our epoch is newer): keep
@@ -637,7 +637,7 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
                        sleep_poll server 0.2)))
          done
        with
-       | End_of_file | Sys_error _ | Error.Error _ -> ());
+       | End_of_file | Sys_error _ | Unix.Unix_error _ | Error.Error _ -> ());
       close_out_noerr oc
   done
 

@@ -335,20 +335,6 @@ let test_stale_state_falls_back_correctly () =
         "store B state correct" true
         (Relation.mem [ v "bob"; v "cs102" ] (Db.relation_exn b "TAKES")))
 
-let test_exec_delta_writes () =
-  let st = commit_exn (Txn.make env) [ ("offer", [ v "cs101" ]) ] db0 in
-  let stmt =
-    Stmt.Seq
-      ( Stmt.Insert ("OFFERED", [ Fdbs_logic.Term.Lit (v "cs102") ]),
-        Stmt.Delete ("OFFERED", [ Fdbs_logic.Term.Lit (v "cs101") ]) )
-  in
-  match Semantics.exec_delta env stmt st with
-  | [ (out, d) ] ->
-    Alcotest.check db "delta applies to the outcome" out (Delta.apply d st);
-    Alcotest.(check (list string)) "touches OFFERED" [ "OFFERED" ] (Delta.touches d);
-    Alcotest.(check int) "one insert + one delete" 2 (Delta.cardinal d)
-  | outs -> Alcotest.failf "expected one outcome, got %d" (List.length outs)
-
 (* Semi-naive closure against the naive re-composition oracle. *)
 let naive_closure r =
   let rec go acc =
@@ -380,8 +366,6 @@ let suite =
       test_extra_constraints_bypass_shared_cache;
     Alcotest.test_case "stale materializations fall back correctly" `Quick
       test_stale_state_falls_back_correctly;
-    Alcotest.test_case "exec_delta pairs outcomes with their writes" `Quick
-      test_exec_delta_writes;
     QCheck_alcotest.to_alcotest prop_advance_agrees;
     QCheck_alcotest.to_alcotest prop_of_dbs_apply_roundtrip;
     QCheck_alcotest.to_alcotest prop_txn_incremental_agrees;

@@ -50,7 +50,25 @@ axiom keep2: forall c:course. (offered(c) -> box box offered(c))
 
 let theory = Tparser.theory_exn theory_src
 
-let compile_exn () =
+(* Deeper nesting over the same schema: the paper's Section 3.2
+   transition axiom (depth 2) and a depth-3 axiom share one window
+   with a static one. *)
+let deep_theory_src =
+  {|
+theory tmon_deep
+sort course
+sort student
+pred offered : course
+pred takes : student, course
+axiom ghost: ~(exists s:student, c:course. takes(s, c) & ~offered(c))
+axiom transition: ~(exists s:student, c:course.
+                      dia (takes(s, c) & dia ~(exists c2:course. takes(s, c2))))
+axiom keep3: forall c:course. (offered(c) -> box box box offered(c))
+|}
+
+let deep_theory = Tparser.theory_exn deep_theory_src
+
+let compile_exn ?(theory = theory) () =
   match Monitor.compile ~schema theory with
   | Ok m -> m
   | Error e -> Alcotest.failf "monitor compile failed: %a" Error.pp e
@@ -134,6 +152,96 @@ let test_resync_after_missed_commit () =
   let s2 = db_of [ v "cs101"; v "cs102" ] [ (v "bob", v "cs102") ] in
   let events = Monitor.advance m ~domain ~before:s1 ~after:s2 in
   Alcotest.(check int) "clean transition" 0 (List.length events)
+
+(* After a resync the window restarts at the [before] it was handed: a
+   depth-d axiom stays silent for d - 1 commits, then the monitor
+   agrees event for event with one freshly attached at that state. *)
+let test_resync_matches_fresh_attach () =
+  let resynced = compile_exn ~theory:deep_theory () in
+  let fresh = compile_exn ~theory:deep_theory () in
+  let s0 = db_of [ v "cs101" ] [] in
+  Monitor.attach resynced s0;
+  ignore
+    (Monitor.advance resynced ~domain ~before:s0
+       ~after:(db_of [ v "cs101"; v "cs102" ] []));
+  (* the stream jumps to [sx], a state [resynced] never saw published *)
+  let sx = db_of [ v "cs101" ] [ (v "ana", v "cs101") ] in
+  Monitor.attach fresh sx;
+  let states =
+    [
+      sx;
+      db_of [ v "cs101" ] [ (v "ana", v "cs101") ];
+      db_of [ v "cs101" ] [];  (* ana drops to zero courses *)
+      db_of [] [];  (* cs101 retracted three commits after state 0 *)
+      db_of [] [];
+    ]
+  in
+  let depth name =
+    (List.find (fun (c : Monitor.compiled) -> c.Monitor.m_name = name)
+       (Monitor.monitors fresh)).Monitor.m_depth
+  in
+  let rec go k all = function
+    | before :: (after :: _ as rest) ->
+      let r = Monitor.advance resynced ~domain ~before ~after in
+      let f = Monitor.advance fresh ~domain ~before ~after in
+      Alcotest.(check (list (pair string int)))
+        (Fmt.str "commit %d agrees" k)
+        (List.map (fun e -> (e.Monitor.ev_axiom, e.Monitor.ev_state)) f)
+        (List.map (fun e -> (e.Monitor.ev_axiom, e.Monitor.ev_state)) r);
+      List.iter
+        (fun (e : Monitor.event) ->
+          Alcotest.(check bool)
+            (Fmt.str "%s silent before its window fills" e.Monitor.ev_axiom)
+            true
+            (k >= depth e.Monitor.ev_axiom))
+        r;
+      go (k + 1) (all @ r) rest
+    | _ -> all
+  in
+  let resyncs = Metrics.counter "monitor.resync" in
+  let r0 = Metrics.value resyncs in
+  let events = go 1 [] states in
+  Alcotest.(check int) "one resync" (r0 + 1) (Metrics.value resyncs);
+  Alcotest.(check (list (pair string int)))
+    "nested axioms fire about the resync state"
+    [ ("transition", 0); ("keep3", 0); ("keep3", 1) ]
+    (List.map (fun e -> (e.Monitor.ev_axiom, e.Monitor.ev_state)) events);
+  Alcotest.(check int) "commits since the resync" 4 (Monitor.commits resynced)
+
+(* Every depth is advanced by its delta: once the first commit has
+   materialized the plans, each later commit is one hit per compiled
+   axiom and never a miss or a fallback. *)
+let test_every_depth_hits () =
+  let m = compile_exn ~theory:deep_theory () in
+  let compiled =
+    List.length
+      (List.filter (fun (c : Monitor.compiled) -> c.Monitor.m_compiled) (Monitor.monitors m))
+  in
+  Alcotest.(check int) "all axioms compile" 3 compiled;
+  let hits = Metrics.counter "monitor.delta_hit"
+  and misses = Metrics.counter "monitor.delta_miss"
+  and fallbacks = Metrics.counter "monitor.delta_fallback" in
+  let s0 = db_of [ v "cs101" ] [] in
+  Monitor.attach m s0;
+  let s1 = db_of [ v "cs101" ] [ (v "ana", v "cs101") ] in
+  ignore (Monitor.advance m ~domain ~before:s0 ~after:s1);
+  let h0 = Metrics.value hits
+  and m0 = Metrics.value misses
+  and f0 = Metrics.value fallbacks in
+  let n = 6 in
+  ignore
+    (List.fold_left
+       (fun before i ->
+         let after =
+           if i mod 2 = 0 then db_of [ v "cs101"; v "cs102" ] [ (v "ana", v "cs101") ]
+           else db_of [ v "cs101" ] [ (v "ana", v "cs101"); (v "bob", v "cs101") ]
+         in
+         ignore (Monitor.advance m ~domain ~before ~after);
+         after)
+       s1 (List.init n Fun.id));
+  Alcotest.(check int) "hits" (h0 + (n * compiled)) (Metrics.value hits);
+  Alcotest.(check int) "no misses" m0 (Metrics.value misses);
+  Alcotest.(check int) "no fallbacks" f0 (Metrics.value fallbacks)
 
 let test_skipped_axioms_reported () =
   let src =
@@ -235,7 +343,7 @@ let arbitrary_history =
    sets accordingly: a static axiom is monitored at states 1..n (state
    0 predates the stream), an axiom of modal depth d at states
    0..n-d. *)
-let offline_failures (states : Db.t list) =
+let offline_failures theory (states : Db.t list) =
   let structures = List.map (fun db -> Relcalc.structure_of_db ~domain db) states in
   let n = List.length states - 1 in
   let u =
@@ -255,8 +363,8 @@ let offline_failures (states : Db.t list) =
       (r.Check.axiom, List.filter keep r.Check.failures))
     (Check.check_axioms u axioms)
 
-let monitor_failures (states : Db.t list) =
-  let m = compile_exn () in
+let monitor_failures theory (states : Db.t list) =
+  let m = compile_exn ~theory () in
   (match states with
   | s0 :: _ -> Monitor.attach m s0
   | [] -> ());
@@ -287,12 +395,14 @@ let prop_incremental_equals_offline =
              (fun acc f -> apply_flip (List.hd acc) f :: acc)
              [ db_of [] [] ] flips)
       in
-      let off = offline_failures states in
-      let inc = monitor_failures states in
       List.for_all
-        (fun (name, fails) ->
-          List.sort_uniq compare fails = List.assoc name inc)
-        off)
+        (fun theory ->
+          let inc = monitor_failures theory states in
+          List.for_all
+            (fun (name, fails) ->
+              List.sort_uniq compare fails = List.assoc name inc)
+            (offline_failures theory states))
+        [ theory; deep_theory ])
 
 let suite =
   [
@@ -303,6 +413,9 @@ let suite =
     Alcotest.test_case "unpublished check has no effect" `Quick
       test_unpublished_check_has_no_effect;
     Alcotest.test_case "resync after a missed commit" `Quick test_resync_after_missed_commit;
+    Alcotest.test_case "resync agrees with a fresh attach" `Quick
+      test_resync_matches_fresh_attach;
+    Alcotest.test_case "every depth is delta-advanced" `Quick test_every_depth_hits;
     Alcotest.test_case "non-monitorable axioms are reported" `Quick
       test_skipped_axioms_reported;
     Alcotest.test_case "missing homonym relation is an error" `Quick

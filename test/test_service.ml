@@ -169,6 +169,21 @@ let test_budget_error () =
 
 (* --- wire protocol: framing, dispatch, shutdown --- *)
 
+(* Every frame of a file, through the same buffered reader the server
+   uses on its sockets. *)
+let read_frames path =
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let r = Protocol.Reader.create fd in
+      let rec go acc =
+        match Protocol.Reader.next r ~block:true with
+        | `Frame p -> go (p :: acc)
+        | `Eof | `Pending -> List.rev acc
+      in
+      go [])
+
 let roundtrip_frames payloads =
   let path = Filename.temp_file "fds_proto" ".bin" in
   Fun.protect
@@ -177,16 +192,7 @@ let roundtrip_frames payloads =
       let oc = open_out_bin path in
       List.iter (Protocol.write_frame oc) payloads;
       close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match Protocol.read_frame ic with
-            | Some p -> go (p :: acc)
-            | None -> List.rev acc
-          in
-          go []))
+      read_frames path)
 
 let test_protocol_frames () =
   let payloads = [ "{\"op\": \"ping\"}"; "{}"; String.make 300 'x' ] in
@@ -549,16 +555,7 @@ let read_all_from_string (s : string) =
       let oc = open_out_bin path in
       output_string oc s;
       close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match Protocol.read_frame ic with
-            | Some p -> go (p :: acc)
-            | None -> List.rev acc
-          in
-          go []))
+      read_frames path)
 
 (* the blank-header regression: stray newlines between frames used to
    read as end-of-stream and silently drop the rest of the pipeline *)
