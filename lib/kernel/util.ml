@@ -21,16 +21,19 @@ let rec dedup ?(eq = ( = )) = function
     {!dedup} whenever [hash] is consistent with [eq]. *)
 let dedup_hashed ~(eq : 'a -> 'a -> bool) ~(hash : 'a -> int) (xs : 'a list) :
   'a list =
-  let tbl : (int, 'a) Hashtbl.t = Hashtbl.create 64 in
-  List.filter
-    (fun x ->
-      let h = hash x in
-      if List.exists (eq x) (Hashtbl.find_all tbl h) then false
-      else begin
-        Hashtbl.add tbl h x;
-        true
-      end)
-    xs
+  match xs with
+  | [] | [ _ ] -> xs
+  | _ ->
+    let tbl : (int, 'a) Hashtbl.t = Hashtbl.create 64 in
+    List.filter
+      (fun x ->
+        let h = hash x in
+        if List.exists (eq x) (Hashtbl.find_all tbl h) then false
+        else begin
+          Hashtbl.add tbl h x;
+          true
+        end)
+      xs
 
 (** [zip_exn xs ys] pairs two lists of equal length. *)
 let zip_exn xs ys =

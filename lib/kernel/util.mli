@@ -12,7 +12,8 @@ val tuples : 'a list -> int -> 'a list list
 val dedup : ?eq:('a -> 'a -> bool) -> 'a list -> 'a list
 
 (** Order-preserving deduplication in O(n) expected time; [hash] must
-    be consistent with [eq]. Agrees with {!dedup}. *)
+    be consistent with [eq]. Agrees with {!dedup}. A list of at most
+    one element is returned as is, without calling [hash]. *)
 val dedup_hashed : eq:('a -> 'a -> bool) -> hash:('a -> int) -> 'a list -> 'a list
 
 (** [zip_exn xs ys] pairs two lists; raises [Invalid_argument] on length

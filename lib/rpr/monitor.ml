@@ -367,7 +367,9 @@ let pp_event ppf (ev : event) =
   in
   Fmt.pf ppf "monitor %s (%s) violated at state %d" ev.ev_axiom kind ev.ev_state
 
-let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
+(* [t] comes last so that [?delta] is erased by the positional
+   argument: callers write [check t ~domain ~before ~after] as before. *)
+let check ?delta ~domain ~(before : Db.t) ~(after : Db.t) (t : t) :
     event list * (unit -> unit) =
   Mutex.protect t.lock @@ fun () ->
   let t0 = Mclock.now_us () in
@@ -381,7 +383,9 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
     if in_sync then ((t.mdb, t.deltas), t.mats) else (restart t before, [])
   in
   (* Slide the window: slot j moves by the delta of commit k - D + j. *)
-  let delta = Delta.of_dbs ~before ~after in
+  let delta =
+    match delta with Some d -> d | None -> Delta.of_dbs ~before ~after
+  in
   let deltas = deltas @ [ delta ] in
   let md = window_delta deltas in
   let mdb' = Delta.apply md mdb in

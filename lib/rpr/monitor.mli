@@ -108,12 +108,18 @@ val attach : t -> Db.t -> unit
     to [after]; fire it only once the commit is durable. If [before]
     is not the state last published (a monitor attached mid-stream, or
     a commit raced past), the monitor resynchronizes — counted by the
-    [monitor.resync] metric — rather than reporting nonsense. *)
+    [monitor.resync] metric — rather than reporting nonsense.
+
+    [delta], when given, must be {!Delta.of_dbs}[ ~before ~after]: the
+    commit path ({!Txn.run}'s [on_commit] hook) passes the delta its
+    constraint checks already computed, so a commit is diffed once.
+    Without it the monitor diffs the two states itself. *)
 val check :
-  t ->
+  ?delta:Delta.t ->
   domain:Domain.t ->
   before:Db.t ->
   after:Db.t ->
+  t ->
   event list * (unit -> unit)
 
 (** {!check} + publish in one step, for replay/test paths that do not

@@ -263,22 +263,28 @@ let eval ~domain ?consts (db : Db.t) (e : expr) : Relation.t =
   let term_value t = term_value ~domain ?consts db t in
   let arg_value row a = arg_value ~domain ?consts db row a in
   let matches ps row = row_matches ~domain ?consts db ps row in
-  (* A join input's rows restricted by a constant-column equality go
+  (* A selection that grounds every column is one membership probe; a
+     join input's rows restricted by a constant-column equality go
      through the relation's column index instead of a scan. *)
   let indexed_select ps (rel : Relation.t) : Relation.t =
     let ground = function
       | Eq (Acol i, Aterm t) | Eq (Aterm t, Acol i) -> Some (i, t)
       | Eq _ | Neq _ -> None
     in
-    match List.find_map ground ps with
-    | Some (col, t) ->
-      let rest = List.filter (fun p -> ground p <> Some (col, t)) ps in
-      let rows =
+    match List.filter_map ground ps with
+    | [] -> Relation.filter (fun row -> matches ps row) rel
+    | (col, t) :: _ as grounds ->
+      let sorts = Relation.sorts rel in
+      let point = List.init (Relation.arity rel) (fun i -> List.assoc_opt i grounds) in
+      if List.for_all Option.is_some point then begin
+        let tu = List.map (fun t -> term_value (Option.get t)) point in
+        Relation.of_list sorts (if Relation.mem tu rel && matches ps tu then [ tu ] else [])
+      end
+      else
+        let rest = List.filter (fun p -> ground p <> Some (col, t)) ps in
         Relation.find_by ~col (term_value t) rel
         |> List.filter (fun row -> matches rest row)
-      in
-      Relation.of_list (Relation.sorts rel) rows
-    | None -> Relation.filter (fun row -> matches ps row) rel
+        |> Relation.of_list sorts
   in
   let rec go : expr -> Relation.t = function
     | Rel r -> Db.relation_exn db r

@@ -3,18 +3,26 @@
     (paper Section 5.1).
 
     The representation is a canonical sorted set of tuples (so
-    structural equality needs no re-sorting) carrying lazily built,
-    atomically published caches: a hash of the whole extension (for
-    O(1) database-state hashing in fixpoint exploration), a tuple hash
-    table (O(1)-amortized membership, e.g. antijoin probes), and
-    per-column value indexes (O(n + m + |output|) composition instead
-    of pairwise scanning). The caches never change what is observable:
-    every operation is defined by the tuple set alone.
+    structural equality needs no re-sorting) carrying its cardinality
+    and lazily built caches: a hash of the whole extension (for O(1)
+    database-state hashing in fixpoint exploration), a tuple hash table
+    (O(1) membership once enough probes have paid for it, e.g. antijoin
+    probes), and per-column value indexes (O(n + m + |output|)
+    composition instead of pairwise scanning). The caches never change
+    what is observable: every operation is defined by the tuple set
+    alone.
 
-    Thread-safety: caches live in [Atomic.t] cells and are built
-    fully before being published, so concurrent {!Pool} worker domains
-    may at worst duplicate a cache build — never observe a partial
-    one. *)
+    {!add} and {!remove} keep the cardinality, so a point write costs
+    O(log n) and a fresh relation version answers point reads by tree
+    probes until they have paid for a table.
+
+    Thread-safety: the membership table and column indexes live in
+    [Atomic.t] cells and are built fully before being published, so
+    concurrent {!Pool} worker domains may at worst duplicate a cache
+    build — never observe a partial one. The cardinality, the hash and
+    the probe count are plain [int] fields: the first two are
+    deterministic, so a racing writer stores the value already there,
+    and a lost probe-count update only delays a table build. *)
 
 open Fdbs_kernel
 
@@ -39,23 +47,32 @@ type index = (Value.t, Tuple.t list) Hashtbl.t
 type t = {
   sorts : Sort.t list;  (** column sorts; the relation's arity is their length *)
   tuples : Tuple_set.t;
-  hash_cache : int Atomic.t;  (** [-1] until computed *)
+  mutable card : int;  (** [-1] until counted *)
+  mutable hash_cache : int;  (** [-1] until computed *)
+  mutable probes : int;  (** tree probes {!mem} has taken *)
   mem_cache : (Tuple.t, unit) Hashtbl.t option Atomic.t;
   col_cache : (int * index) list Atomic.t;  (** per-column value indexes *)
 }
 
 (* Every constructor goes through [make]: derived relations start with
    fresh (empty) caches. *)
-let make sorts tuples =
+let make ?(card = -1) sorts tuples =
   {
     sorts;
     tuples;
-    hash_cache = Atomic.make (-1);
+    card;
+    hash_cache = -1;
+    probes = 0;
     mem_cache = Atomic.make None;
     col_cache = Atomic.make [];
   }
 
-let empty sorts = make sorts Tuple_set.empty
+(* A derived tuple set that is physically the input's (an operation
+   that changed nothing) keeps the input and its caches. *)
+let derive ?card (r : t) tuples =
+  if tuples == r.tuples then r else make ?card r.sorts tuples
+
+let empty sorts = make ~card:0 sorts Tuple_set.empty
 
 let sorts (r : t) = r.sorts
 let tuple_set (r : t) = r.tuples
@@ -68,21 +85,30 @@ let check_tuple (r : t) (tu : Tuple.t) =
       (Fmt.str "Relation: tuple of arity %d in relation of arity %d" (List.length tu)
          (arity r))
 
+(* [Set.add] of a present tuple and [Set.remove] of an absent one
+   return their argument, so a no-op write returns [r] itself. *)
 let add tu (r : t) =
   check_tuple r tu;
-  make r.sorts (Tuple_set.add tu r.tuples)
+  derive ~card:(if r.card < 0 then -1 else r.card + 1) r (Tuple_set.add tu r.tuples)
 
 let remove tu (r : t) =
   check_tuple r tu;
-  make r.sorts (Tuple_set.remove tu r.tuples)
+  derive ~card:(if r.card < 0 then -1 else r.card - 1) r (Tuple_set.remove tu r.tuples)
 
-let cardinal (r : t) = Tuple_set.cardinal r.tuples
+(* [Set.cardinal] walks the tree: count once per relation value. *)
+let cardinal (r : t) =
+  if r.card >= 0 then r.card
+  else begin
+    let n = Tuple_set.cardinal r.tuples in
+    r.card <- n;
+    n
+  end
+
 let is_empty (r : t) = Tuple_set.is_empty r.tuples
 
-(* Below this cardinality a balanced-tree lookup beats building a hash
-   table; above it the table is built once and every later probe is
-   O(1). *)
-let mem_index_threshold = 8
+(* Below this cardinality a tree probe is as cheap as hashing the
+   tuple, so no membership table is ever built. *)
+let small = 8
 
 (* Index-build tallies: how often the lazy caches are actually
    materialized (a concurrent duplicate build counts twice — it did
@@ -100,7 +126,7 @@ let mem_table (r : t) =
   | Some tbl -> tbl
   | None ->
     Metrics.incr c_mem_index_builds;
-    let tbl = Hashtbl.create (2 * Tuple_set.cardinal r.tuples) in
+    let tbl = Hashtbl.create (2 * cardinal r) in
     Tuple_set.iter (fun t -> Hashtbl.replace tbl t ()) r.tuples;
     if Atomic.compare_and_set r.mem_cache None (Some tbl) then tbl
     else begin
@@ -110,10 +136,16 @@ let mem_table (r : t) =
 let mem tu (r : t) =
   match Atomic.get r.mem_cache with
   | Some tbl -> Hashtbl.mem tbl tu
+  | None when cardinal r < small -> Tuple_set.mem tu r.tuples
   | None ->
-    if Tuple_set.cardinal r.tuples < mem_index_threshold then
-      Tuple_set.mem tu r.tuples
-    else Hashtbl.mem (mem_table r) tu
+    (* Tree probes until more than a quarter of the cardinality of them
+       has been taken: the table's O(n) build is then paid for by
+       probes already served, and every later probe is O(1). A relation
+       version read a few times before the next write never builds
+       one. *)
+    r.probes <- r.probes + 1;
+    if r.probes > cardinal r / 4 then Hashtbl.mem (mem_table r) tu
+    else Tuple_set.mem tu r.tuples
 
 (** The value -> tuples index for column [col], built on first use and
     cached. The index is immutable once published. *)
@@ -124,7 +156,7 @@ let index_on (col : int) (r : t) : index =
   | Some idx -> idx
   | None ->
     Metrics.incr c_col_index_builds;
-    let idx : index = Hashtbl.create (max 16 (2 * Tuple_set.cardinal r.tuples)) in
+    let idx : index = Hashtbl.create (max 16 (2 * cardinal r)) in
     Tuple_set.iter
       (fun tu ->
         let key = List.nth tu col in
@@ -152,11 +184,11 @@ let find_by ~(col : int) (value : Value.t) (r : t) : Tuple.t list =
 let of_list sorts tuples = List.fold_left (fun r tu -> add tu r) (empty sorts) tuples
 let to_list (r : t) = Tuple_set.elements r.tuples
 
-let union (a : t) (b : t) = make a.sorts (Tuple_set.union a.tuples b.tuples)
-let inter (a : t) (b : t) = make a.sorts (Tuple_set.inter a.tuples b.tuples)
-let diff (a : t) (b : t) = make a.sorts (Tuple_set.diff a.tuples b.tuples)
+let union (a : t) (b : t) = derive a (Tuple_set.union a.tuples b.tuples)
+let inter (a : t) (b : t) = derive a (Tuple_set.inter a.tuples b.tuples)
+let diff (a : t) (b : t) = derive a (Tuple_set.diff a.tuples b.tuples)
 
-let filter f (r : t) = make r.sorts (Tuple_set.filter f r.tuples)
+let filter f (r : t) = derive r (Tuple_set.filter f r.tuples)
 
 let fold f (r : t) acc = Tuple_set.fold f r.tuples acc
 let iter f (r : t) = Tuple_set.iter f r.tuples
@@ -166,8 +198,7 @@ let for_all f (r : t) = Tuple_set.for_all f r.tuples
 (** A canonical hash of the extension (sorts contribute arity only),
     computed once per relation value. Consistent with {!equal}. *)
 let hash (r : t) =
-  let h = Atomic.get r.hash_cache in
-  if h >= 0 then h
+  if r.hash_cache >= 0 then r.hash_cache
   else begin
     let h =
       Tuple_set.fold
@@ -176,26 +207,23 @@ let hash (r : t) =
         ((arity r * 7) + 3)
       land max_int
     in
-    (* The hash is deterministic, so a lost race publishes the same
-       value; the CAS just keeps publication one-shot like the other
-       caches. *)
-    ignore (Atomic.compare_and_set r.hash_cache (-1) h : bool);
+    r.hash_cache <- h;
     h
   end
 
 (** Publish this relation's lazy caches eagerly: the extension hash and
-    (above the indexing threshold) the membership table. Called once on
+    (from [small] tuples up) the membership table. Called once on
     a shared read-only snapshot {e before} handing it to parallel
     readers, so worker domains probe published indexes instead of
     racing to build duplicates. *)
 let warm (r : t) =
   ignore (hash r : int);
-  if Tuple_set.cardinal r.tuples >= mem_index_threshold then
+  if cardinal r >= small then
     ignore (mem_table r : (Tuple.t, unit) Hashtbl.t)
 
 let equal (a : t) (b : t) =
   a == b
-  || (let ha = Atomic.get a.hash_cache and hb = Atomic.get b.hash_cache in
+  || (let ha = a.hash_cache and hb = b.hash_cache in
       (* cached hashes, when both present, give a cheap negative *)
       (ha < 0 || hb < 0 || ha = hb)
       && List.equal Sort.equal a.sorts b.sorts

@@ -3,9 +3,11 @@
     (paper Section 5.1).
 
     The representation is abstract: a canonical sorted tuple set
-    carrying lazily built, atomically published caches — a whole-
-    extension hash, an O(1)-amortized membership table, and per-column
-    value indexes that make {!compose} linear in its inputs. All
+    carrying its cardinality and lazily built caches — a whole-extension
+    hash, a membership table that a relation builds once enough probes
+    have paid for it, and per-column value indexes that make {!compose}
+    linear in its inputs. A point write ({!add}, {!remove}) and a point
+    read ({!mem}) on a fresh relation version cost O(log n). All
     operations are defined by the tuple set alone; it is safe to share
     relation values across {!Fdbs_kernel.Pool} worker domains. *)
 
@@ -37,13 +39,21 @@ val tuple_set : t -> Tuple_set.t
 
 val arity : t -> int
 
-(** Raises [Invalid_argument] on arity mismatch. *)
+(** O(log n); keeps the cardinality. Adding a tuple that is already
+    present returns the relation itself ([==]), caches included.
+    Raises [Invalid_argument] on arity mismatch. *)
 val add : Tuple.t -> t -> t
 
+(** O(log n); keeps the cardinality. Removing an absent tuple returns
+    the relation itself ([==]). *)
 val remove : Tuple.t -> t -> t
 
-(** O(1) amortized: served by a lazily built hash table once the
-    relation is large enough to repay building it. *)
+(** Self-amortizing membership: O(log n) tree probes until the
+    relation has taken more than a quarter of its cardinality of them,
+    then one O(n) hash-table build, published one-shot, and O(1) probes
+    after it. A relation version that is probed a few times before the
+    next write never builds the table, and neither does a relation of
+    fewer than 8 tuples. *)
 val mem : Tuple.t -> t -> bool
 
 (** All tuples whose column [col] holds [value], via a cached
@@ -54,10 +64,18 @@ val find_by : col:int -> Value.t -> t -> Tuple.t list
 val of_list : Sort.t list -> Tuple.t list -> t
 val to_list : t -> Tuple.t list
 
+(** O(1) after {!empty}, {!add} and {!remove}; other constructions
+    count once, on first use, and cache the count. *)
 val cardinal : t -> int
+
 val is_empty : t -> bool
 
+(** The set operations and {!filter} may return their first argument
+    itself ([==], caches included) when the result equals it — always
+    for an empty second argument of {!union} or {!diff}, and for a
+    {!filter} that keeps every tuple. *)
 val union : t -> t -> t
+
 val inter : t -> t -> t
 val diff : t -> t -> t
 
@@ -73,11 +91,11 @@ val equal : t -> t -> bool
     and cached; consistent with {!equal}. *)
 val hash : t -> int
 
-(** Publish the lazy caches eagerly (extension hash, membership table
-    when the relation is large enough to index). Call on a shared
-    read-only snapshot before a parallel sweep so worker domains probe
-    one published index instead of racing to build duplicates; cache
-    publication is one-shot (first builder wins, peers adopt). *)
+(** Publish the lazy caches eagerly (extension hash, and the
+    membership table for relations of 8 tuples or more). Call on a
+    shared read-only snapshot before a parallel sweep so worker domains
+    probe one published index instead of racing to build duplicates;
+    cache publication is one-shot (first builder wins, peers adopt). *)
 val warm : t -> unit
 
 (** [compose a b = {(x, z) | (x, y) ∈ a, (y, z) ∈ b}] for binary

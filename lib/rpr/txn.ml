@@ -23,10 +23,12 @@ type t = {
   journal : string option;  (** journal file path *)
   fsync : bool;  (** fsync journal appends (power-loss durability) *)
   on_commit :
-    (before:Db.t -> after:Db.t -> ((unit -> unit), Error.t) result) option;
+    (before:Db.t -> after:Db.t -> delta:Delta.t -> ((unit -> unit), Error.t) result)
+    option;
       (** commit hook (streaming monitors): run after constraints pass,
-          before the journal append; its publish thunk fires with the
-          constraint materializations', an [Error] rolls back *)
+          before the journal append, with the commit's delta; its
+          publish thunk fires with the constraint materializations', an
+          [Error] rolls back *)
 }
 
 let make ?(check_constraints = true) ?(extra_constraints = []) ?journal
@@ -87,15 +89,14 @@ let exec_call (env : Semantics.env) ((name, args) as c : Journal.call) (db : Db.
    transaction never publishes a materialization of a discarded
    state. *)
 let check_constraints (txn : t) (env : Semantics.env) ~(snapshot : Db.t)
-    (db : Db.t) : ((unit -> unit) list, Error.t) result =
+    ~(delta : Delta.t Lazy.t) (db : Db.t) : ((unit -> unit) list, Error.t) result =
   let constraints, extras =
     if txn.check_constraints then
       (env.Semantics.schema.Schema.constraints, txn.extra_constraints)
     else ([], [])
   in
   let delta =
-    if constraints = [] && extras = [] then Delta.empty
-    else Delta.of_dbs ~before:snapshot ~after:db
+    if constraints = [] && extras = [] then Delta.empty else Lazy.force delta
   in
   let rec go publishes = function
     | [] -> Ok (List.rev publishes)
@@ -157,8 +158,12 @@ let run ?budget (txn : t) (calls : Journal.call list) (db : Db.t) :
     let* final = go db calls in
     span "txn.commit" (fun () ->
         Fault.hit "txn.commit";
+        (* the commit is diffed at most once: the constraint checks and
+           the monitor hook share its delta *)
+        let delta = lazy (Delta.of_dbs ~before:snapshot ~after:final) in
         let* publishes =
-          span "txn.check" (fun () -> check_constraints txn env ~snapshot final)
+          span "txn.check" (fun () ->
+              check_constraints txn env ~snapshot ~delta final)
         in
         (* the monitor hook sees the exact transition the commit makes;
            its publish joins the constraint materializations' *)
@@ -167,7 +172,9 @@ let run ?budget (txn : t) (calls : Journal.call list) (db : Db.t) :
           | None -> Ok publishes
           | Some hook ->
             span "txn.monitor" (fun () ->
-                match hook ~before:snapshot ~after:final with
+                match
+                  hook ~before:snapshot ~after:final ~delta:(Lazy.force delta)
+                with
                 | Ok publish -> Ok (publishes @ [ publish ])
                 | Result.Error e -> Result.Error e)
         in

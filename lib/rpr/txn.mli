@@ -17,9 +17,12 @@ type t = {
   journal : string option;  (** journal file path *)
   fsync : bool;  (** fsync journal appends (power-loss durability) *)
   on_commit :
-    (before:Db.t -> after:Db.t -> ((unit -> unit), Error.t) result) option;
+    (before:Db.t -> after:Db.t -> delta:Delta.t -> ((unit -> unit), Error.t) result)
+    option;
       (** commit hook, run after the schema's constraints pass and
-          before the journal append. [Ok publish] joins the constraint
+          before the journal append. [delta] is the commit's exact
+          {!Delta.of_dbs}[ ~before ~after], computed once per commit and
+          shared with the constraint checks. [Ok publish] joins the constraint
           materializations' publish phase — fired only once the commit
           is durable; an [Error] rolls the transaction back. The
           streaming {!Monitor}s ride this hook: observing monitors
@@ -32,7 +35,8 @@ val make :
   ?extra_constraints:(string * Fdbs_logic.Formula.t) list ->
   ?journal:string ->
   ?fsync:bool ->
-  ?on_commit:(before:Db.t -> after:Db.t -> ((unit -> unit), Error.t) result) ->
+  ?on_commit:
+    (before:Db.t -> after:Db.t -> delta:Delta.t -> ((unit -> unit), Error.t) result) ->
   Semantics.env ->
   t
 

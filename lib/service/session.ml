@@ -180,14 +180,15 @@ end
    only once the commit is durable. Enforcing monitors turn the first
    violation into the rollback error. *)
 let monitor_hook (st : Store.t) :
-  (before:Db.t -> after:Db.t -> ((unit -> unit), Error.t) result) option =
+  (before:Db.t -> after:Db.t -> delta:Delta.t -> ((unit -> unit), Error.t) result)
+  option =
   match st.Store.monitors with
   | None -> None
   | Some a ->
     Some
-      (fun ~before ~after ->
+      (fun ~before ~after ~delta ->
         let events, publish =
-          Monitor.check a.Store.mon ~domain:st.Store.domain ~before ~after
+          Monitor.check a.Store.mon ~domain:st.Store.domain ~delta ~before ~after
         in
         match (a.Store.mode, events) with
         | `Enforce, ev :: _ -> Result.Error (Monitor.error_of_event ev)

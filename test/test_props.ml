@@ -188,15 +188,107 @@ let arbitrary_tuples_and_probe =
            (map (fun i -> Value.Sym (Fmt.str "v%d" i)) (int_range 0 5))
            (map (fun i -> Value.Sym (Fmt.str "v%d" i)) (int_range 0 5))))
 
+(* Every tuple the generators can produce: values v0..v5 in both
+   columns. *)
+let all_candidates =
+  let vs = List.init 6 (fun i -> Value.Sym (Fmt.str "v%d" i)) in
+  List.concat_map (fun x -> List.map (fun y -> [ x; y ]) vs) vs
+
+let model_mem model probe = List.exists (fun tu -> tuple_compare tu probe = 0) model
+
 let prop_model_membership =
   QCheck.Test.make ~name:"indexed membership agrees with the list model" ~count:300
     arbitrary_tuples_and_probe (fun (tuples, probe) ->
       let r = Relation.of_list [ "a"; "b" ] tuples in
-      (* probe twice: before and after the lazy membership table exists *)
-      let first = Relation.mem probe r in
-      let again = Relation.mem probe r in
-      let model = List.exists (fun tu -> tuple_compare tu probe = 0) tuples in
-      first = model && again = model)
+      (* A relation probes its tree until the probes pay for a table:
+         sweeping every candidate twice takes more probes than the
+         relation has tuples, so the answers come from both sides of
+         the table build. *)
+      let answers =
+        (probe :: all_candidates) @ all_candidates @ [ probe ]
+        |> List.map (fun tu -> (tu, Relation.mem tu r))
+      in
+      List.for_all (fun (tu, got) -> got = model_mem tuples tu) answers)
+
+(* Random update sequences against the list model: after every step,
+   cardinality, membership, column lookups and contents agree, and a
+   no-op [add] or [remove] returns the relation itself. *)
+type rel_op =
+  | Op_add of Relation.Tuple.t
+  | Op_remove of Relation.Tuple.t
+  | Op_union of Relation.Tuple.t list
+  | Op_diff of Relation.Tuple.t list
+  | Op_filter of Value.t  (** keep rows whose first column differs *)
+
+let pp_rel_op ppf = function
+  | Op_add tu -> Fmt.pf ppf "add %a" Relation.Tuple.pp tu
+  | Op_remove tu -> Fmt.pf ppf "remove %a" Relation.Tuple.pp tu
+  | Op_union tus -> Fmt.pf ppf "union %a" Fmt.(list Relation.Tuple.pp) tus
+  | Op_diff tus -> Fmt.pf ppf "diff %a" Fmt.(list Relation.Tuple.pp) tus
+  | Op_filter v -> Fmt.pf ppf "filter #0 /= %a" Value.pp v
+
+let rel_op_gen =
+  let open QCheck.Gen in
+  let tuple = oneofl all_candidates in
+  frequency
+    [
+      (4, map (fun tu -> Op_add tu) tuple);
+      (3, map (fun tu -> Op_remove tu) tuple);
+      (1, map (fun tus -> Op_union tus) (list_size (int_range 0 6) tuple));
+      (1, map (fun tus -> Op_diff tus) (list_size (int_range 0 6) tuple));
+      (1, map (fun i -> Op_filter (Value.Sym (Fmt.str "v%d" i))) (int_range 0 5));
+    ]
+
+let prop_model_update_sequences =
+  QCheck.Test.make ~name:"update sequences agree with the list model" ~count:300
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:(any "; ") pp_rel_op))
+       QCheck.Gen.(list_size (int_range 0 40) rel_op_gen))
+    (fun ops ->
+      let sorts = [ "a"; "b" ] in
+      let step (r, model) = function
+        | Op_add tu ->
+          let r' = Relation.add tu r in
+          if model_mem model tu && r' != r then QCheck.Test.fail_report "no-op add copied";
+          (r', model_of_list (tu :: model))
+        | Op_remove tu ->
+          let r' = Relation.remove tu r in
+          if (not (model_mem model tu)) && r' != r then
+            QCheck.Test.fail_report "no-op remove copied";
+          (r', List.filter (fun x -> tuple_compare x tu <> 0) model)
+        | Op_union tus ->
+          (Relation.union r (Relation.of_list sorts tus), model_of_list (tus @ model))
+        | Op_diff tus ->
+          ( Relation.diff r (Relation.of_list sorts tus),
+            List.filter (fun x -> not (model_mem tus x)) model )
+        | Op_filter v ->
+          let keep = function x :: _ -> not (Value.equal x v) | [] -> true in
+          (Relation.filter keep r, List.filter keep model)
+      in
+      let values = List.init 6 (fun i -> Value.Sym (Fmt.str "v%d" i)) in
+      let agrees (r, model) =
+        Relation.cardinal r = List.length model
+        && Relation.to_list r = model
+        && List.for_all (fun tu -> Relation.mem tu r = model_mem model tu) all_candidates
+        && List.for_all
+             (fun col ->
+               List.for_all
+                 (fun x ->
+                   List.sort tuple_compare (Relation.find_by ~col x r)
+                   = List.filter (fun tu -> Value.equal (List.nth tu col) x) model)
+                 values)
+             [ 0; 1 ]
+      in
+      let _ =
+        List.fold_left
+          (fun st op ->
+            let st' = step st op in
+            if not (agrees st') then
+              QCheck.Test.fail_reportf "disagrees after %a" pp_rel_op op;
+            st')
+          (Relation.empty sorts, []) ops
+      in
+      true)
 
 let prop_model_union_to_list =
   QCheck.Test.make ~name:"union/to_list agree with the list model" ~count:200
@@ -354,6 +446,7 @@ let suite =
       prop_select_distributes_over_union;
       prop_active_domain_covers;
       prop_model_membership;
+      prop_model_update_sequences;
       prop_model_union_to_list;
       prop_model_equal_and_hash;
       prop_model_compose;

@@ -792,6 +792,143 @@ let batch_frames_roundtrip =
             | Error _ -> false)
       | _ -> false)
 
+(* --- point transactions cost O(log n), not O(|relation|) ---
+
+   A committed write makes a fresh relation version. Point reads and
+   point writes on it, and the commit's constraint check, must not
+   rebuild a whole-relation cache: a ground selection is one tree
+   probe, and a fresh version never takes enough probes to pay for a
+   membership table. The index-build counters pin this
+   machine-independently. *)
+
+let transfer_src =
+  {|
+schema transfer
+
+relation OFFERED(course)
+relation TAKES(student, course)
+
+constraint takes_offered: forall s:student. forall c:course. (TAKES(s, c) -> OFFERED(c))
+
+proc initiate() =
+  (OFFERED := {(c:course) | false} ; TAKES := {(s:student, c:course) | false})
+
+proc offer(c: course) = insert OFFERED(c)
+
+proc enroll(s: student, c: course) =
+  if (OFFERED(c)) then insert TAKES(s, c)
+
+proc transfer(s: student, c: course, c2: course) =
+  if (TAKES(s, c) & ~TAKES(s, c2) & OFFERED(c2))
+  then (delete TAKES(s, c) ; insert TAKES(s, c2))
+
+end-schema
+|}
+
+let student i = v (Fmt.str "s%d" i)
+let course i = v (Fmt.str "c%d" i)
+
+let test_point_txns_build_no_index () =
+  let schema = Rparser.schema_exn transfer_src in
+  let config = Config.make ~transactional:true ~check_constraints:true () in
+  let s =
+    match Session.open_ ~config ~schema () with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "open_ failed: %s" (Error.to_string e)
+  in
+  (* 250 students, each in courses c(i mod 20) and c((i + 1) mod 20);
+     c20 is offered and empty *)
+  let students = 250 in
+  ignore
+    (run_exn s
+       ((("initiate", []) :: List.init 21 (fun i -> ("offer", [ course i ])))
+       @ List.concat
+           (List.init students (fun i ->
+                [
+                  ("enroll", [ student i; course (i mod 20) ]);
+                  ("enroll", [ student i; course ((i + 1) mod 20) ]);
+                ]))));
+  let takes () = Relation.cardinal (Db.relation_exn (Session.db s) "TAKES") in
+  Alcotest.(check int) "500 TAKES rows" 500 (takes ());
+  let point i c =
+    match
+      Session.query s
+        ~params:[ ("x", "student", student i); ("y", "course", course c) ]
+        "TAKES(x, y)"
+    with
+    | Ok b -> b
+    | Error e -> Alcotest.failf "query: %s" (Error.to_string e)
+  in
+  let ok what = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what (Error.to_string e)
+  in
+  let transfer k =
+    (* student k mod 20 moves from its first course to c20, then back *)
+    let i = k mod 20 in
+    let from_, to_ = if k < 20 then (i, 20) else (20, i) in
+    ok "begin" (Session.begin_txn s);
+    (match Session.run s [ ("transfer", [ student i; course from_; course to_ ]) ] with
+     | Ok _ -> ()
+     | Error f -> Alcotest.failf "transfer: %s" (Error.to_string f.Session.fail_error));
+    ok "commit" (Session.commit s);
+    Alcotest.(check bool) "moved in" true (point i to_);
+    Alcotest.(check bool) "moved out" false (point i from_);
+    Alcotest.(check bool) "others untouched" true (point (100 + k) ((100 + k) mod 20))
+  in
+  let builds name = Metrics.value (Metrics.counter name) in
+  let mem0 = builds "relation.mem_index_builds"
+  and col0 = builds "relation.col_index_builds" in
+  for k = 0 to 39 do
+    transfer k
+  done;
+  Alcotest.(check int) "still 500 TAKES rows" 500 (takes ());
+  Alcotest.(check int) "no membership table built" mem0
+    (builds "relation.mem_index_builds");
+  Alcotest.(check int) "no column index built" col0
+    (builds "relation.col_index_builds")
+
+(* The ground-selection probe against the naive evaluator: hit, miss,
+   negated, and a ground atom whose extra equality contradicts the
+   tuple it names. *)
+let test_ground_atoms_match_naive () =
+  let schema = Rparser.schema_exn transfer_src in
+  let env = Semantics.env ~domain:Domain.empty schema in
+  let db =
+    List.fold_left
+      (fun db (name, args) -> Semantics.call_det_exn env name args db)
+      (Schema.empty_db schema)
+      ([ ("initiate", []); ("offer", [ course 0 ]); ("offer", [ course 1 ]) ]
+      @ List.init 12 (fun i -> ("enroll", [ student i; course (i mod 2) ])))
+  in
+  let domain =
+    Domain.of_list
+      [
+        ("student", List.init 14 student);
+        ("course", [ course 0; course 1; course 2 ]);
+      ]
+  in
+  let params = [ ("x", "student"); ("x2", "student"); ("y", "course") ] in
+  let check name src consts expected =
+    let f = Rparser.wff_exn ~params schema src in
+    Alcotest.(check bool) (name ^ ": compiles") true (Planner.plan_wff schema f <> None);
+    let naive = Relcalc.holds ~domain ~consts db f in
+    let planned = Planner.holds ~strategy:`Compiled ~schema ~domain ~consts db f in
+    Alcotest.(check bool) (name ^ ": naive") expected naive;
+    Alcotest.(check bool) (name ^ ": planned = naive") naive planned
+  in
+  let at i c = [ ("x", student i); ("x2", student i); ("y", course c) ] in
+  check "hit" "TAKES(x, y)" (at 3 1) true;
+  check "miss" "TAKES(x, y)" (at 3 0) false;
+  check "absent student" "TAKES(x, y)" (at 13 0) false;
+  check "negated hit" "~TAKES(x, y)" (at 3 1) false;
+  check "negated miss" "~TAKES(x, y)" (at 3 0) true;
+  let clash = [ ("x", student 3); ("x2", student 5); ("y", course 1) ] in
+  check "contradicting equality"
+    "exists s:student. (TAKES(s, y) & s = x & s = x2)" clash false;
+  check "agreeing equality"
+    "exists s:student. (TAKES(s, y) & s = x & s = x2)" (at 3 1) true
+
 let suite =
   [
     Alcotest.test_case "planner cache stays warm across session calls" `Quick
@@ -832,6 +969,10 @@ let suite =
       test_step_rate_overload;
     Alcotest.test_case "tenancy: stores share plans, isolate state" `Quick
       test_store_planner_sharing;
+    Alcotest.test_case "point transactions build no relation index" `Quick
+      test_point_txns_build_no_index;
+    Alcotest.test_case "ground atoms: planner agrees with naive" `Quick
+      test_ground_atoms_match_naive;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

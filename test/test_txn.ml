@@ -334,6 +334,53 @@ let prop_replay_reproduces_commits =
           | Ok replayed -> Db.equal final replayed
           | Error _ -> false))
 
+(* (c) the commit hook receives the commit's one delta: applied to the
+   pre-state it gives the committed state. A constraint violation rolls
+   back before the hook, so the hook never sees that commit. *)
+let arbitrary_violating_txns =
+  let unchecked =
+    QCheck.Gen.(
+      map2
+        (fun s c -> ("enroll_unchecked", [ s; c ]))
+        (oneofl [ v "ana"; v "bob" ])
+        (oneofl [ v "cs101"; v "cs102" ]))
+  in
+  QCheck.make
+    ~print:
+      Fmt.(str "%a" (list ~sep:(any " | ") (list ~sep:(any "; ") Journal.pp_call)))
+    QCheck.Gen.(
+      list_size (int_range 1 6)
+        (list_size (int_range 1 4) (frequency [ (4, call_gen); (1, unchecked) ])))
+
+let prop_hook_delta_is_the_commit =
+  QCheck.Test.make ~name:"the commit hook's delta takes before to after" ~count:200
+    arbitrary_violating_txns (fun txns ->
+      let seen = ref [] in
+      let on_commit ~before ~after ~delta =
+        seen := (before, after, delta) :: !seen;
+        Ok (fun () -> ())
+      in
+      let htxn = Txn.make ~check_constraints:true ~on_commit env in
+      let step d calls =
+        seen := [];
+        match Txn.run htxn calls d with
+        | Ok d' -> (
+          match !seen with
+          | [ (before, after, delta) ] ->
+            if not (before == d && after == d' && Db.equal (Delta.apply delta before) after)
+            then QCheck.Test.fail_report "hook delta does not take before to after";
+            d'
+          | hooks -> QCheck.Test.fail_reportf "commit ran the hook %d times" (List.length hooks))
+        | Error rb ->
+          (match rb.Txn.error.Error.code with
+           | Error.Constraint_violation _ when !seen <> [] ->
+             QCheck.Test.fail_report "hook ran on a constraint rollback"
+           | _ -> ());
+          rb.Txn.restored
+      in
+      ignore (List.fold_left step pre txns : Db.t);
+      true)
+
 let suite =
   [
     Alcotest.test_case "transactional commit = sequential" `Quick test_commit;
@@ -356,4 +403,8 @@ let suite =
       test_while_nondeterministic_body;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_rollback_restores_pre_state; prop_replay_reproduces_commits ]
+      [
+        prop_rollback_restores_pre_state;
+        prop_replay_reproduces_commits;
+        prop_hook_delta_is_the_commit;
+      ]
