@@ -488,8 +488,13 @@ let peer_of (addr : string) : Server.listen =
 let serve_cmd =
   let workers =
     Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains serving connections concurrently; 0 (the \
-                 default) means one per core, minimum 2.")
+           ~doc:"Most worker domains serving connections concurrently. \
+                 The server keeps at most one live domain per core: the \
+                 dispatcher (and a $(b,--follow) stream) take one each, \
+                 the workers the rest, at least 1; 0 (the default) means \
+                 that cap, and a larger N is capped with a note on \
+                 stderr. Below 3 cores this leaves one worker, so one \
+                 long request delays the other ready connections.")
   in
   let spec_opt =
     Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"SPEC-FILE"

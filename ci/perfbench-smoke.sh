@@ -3,17 +3,24 @@
 # window against the real `fds serve` (see perfbench/NOTES.md). Every
 # run must end correct with no failed operation, and read_mix's
 # throughput goes through gate.exe, whose bound table in bench/gate.ml
-# holds its floor.
+# holds its floor. A server that outlives its stop signal by 5 s
+# (run.py then kills it and says so on stderr) fails the smoke too.
 # Run from the repo root:
 #   bash ci/perfbench-smoke.sh
 set -euo pipefail
 
-rm -f perfbench-*.json
+rm -f perfbench-*.json perfbench-*.err
 dune build bench/gate.exe
 for w in read_mix commit_durable txn_monitored; do
   python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 \
-    | tail -n 1 > "perfbench-$w.json"
+    2> "perfbench-$w.err" | tail -n 1 > "perfbench-$w.json" \
+    || { cat "perfbench-$w.err" >&2; exit 1; }
+  cat "perfbench-$w.err" >&2
   cat "perfbench-$w.json"
+  if grep -q "still running 5 s after signal" "perfbench-$w.err"; then
+    echo "perfbench smoke: a $w server ignored its stop signal" >&2
+    exit 1
+  fi
   python3 - "perfbench-$w.json" <<'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))

@@ -16,6 +16,11 @@ val add : Sort.t -> Value.t list -> t -> t
 
 val of_list : (Sort.t * Value.t list) list -> t
 
+(** [extend sort values d] is [add sort (values @ carrier d sort) d] by
+    one stack-safe merge into the sorted carrier, O(|carrier| + k log k)
+    for [k] values; [d] itself when no value is new. *)
+val extend : Sort.t -> Value.t list -> t -> t
+
 (** [carrier d sort] is the carrier of [sort] — [{false, true}] for
     [bool], [[]] for unknown sorts. *)
 val carrier : t -> Sort.t -> Value.t list

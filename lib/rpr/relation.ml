@@ -276,12 +276,10 @@ let transitive_closure (r : t) : t =
 (** Values appearing in each column, keyed by the column's sort: the
     relation's contribution to the active domain. *)
 let active_domain (r : t) : Domain.t =
-  fold
-    (fun tu acc ->
-      List.fold_left2
-        (fun acc v srt -> Domain.add srt (v :: Domain.carrier acc srt) acc)
-        acc tu r.sorts)
-    r Domain.empty
+  if is_empty r then Domain.empty
+  else
+    fold (List.map2 List.cons) r (List.map (fun _ -> []) r.sorts)
+    |> List.fold_left2 (fun d s c -> Domain.extend s c d) Domain.empty r.sorts
 
 let pp ppf (r : t) =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") Tuple.pp) (to_list r)

@@ -645,20 +645,27 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let serve ?(workers = 0) ?spec ?(config = Config.default)
+(* At most one live domain per core: every minor collection stops all
+   domains, so one without a core of its own holds the others up. *)
+let worker_count ~requested ~cores ~follow =
+  let cap = Stdlib.max 1 (cores - 1 - Bool.to_int follow) in
+  if requested <= 0 then cap else Stdlib.min requested cap
+
+let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
     ?(ready = fun () -> ()) ?follow ?snapshot_every ?auth ?(max_queue = 1024)
     ?monitors (listen : listen) schema : (stats, Error.t) result =
   let ( let* ) = Result.bind in
-  (* 0 (the default) sizes the worker pool to the machine: one domain
-     per core, at least two so one long-running request cannot block
-     every other ready connection. Workers never block on sockets (the
-     dispatcher holds the quiet connections), and they share one store
-     — and one process-wide planner cache, safe because plan keys mix
-     the schema fingerprint — so every domain serves requests against
-     warm plans. *)
+  (* Workers never block on sockets (the dispatcher holds the quiet
+     connections), and they share one store — and one process-wide
+     planner cache, safe because plan keys mix the schema fingerprint —
+     so every domain serves requests against warm plans. *)
   let workers =
-    if workers <= 0 then Stdlib.max 2 (Pool.recommended_jobs ()) else workers
+    worker_count ~requested ~cores:(Pool.recommended_jobs ())
+      ~follow:(Option.is_some follow)
   in
+  if requested > workers then
+    Fmt.epr "fds: --workers %d capped to %d (one live domain per core)@."
+      requested workers;
   Metrics.set c_workers workers;
   (* Followers apply leader entries as checked transactions journaled
      locally, so their mode is forced transactional; leaders journal
@@ -778,7 +785,11 @@ let serve ?(workers = 0) ?spec ?(config = Config.default)
         | Result.Error _ -> ())
      | None -> ());
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let on_signal = Sys.Signal_handle (fun _ -> request_stop server) in
+    (* the handler may run while its domain holds [qlock], so it takes
+       no lock; [request_stop] below wakes the workers *)
+    let on_signal =
+      Sys.Signal_handle (fun _ -> Atomic.set server.stop true; wake server)
+    in
     Sys.set_signal Sys.sigint on_signal;
     Sys.set_signal Sys.sigterm on_signal;
     (* workers record trace spans into their own domain-local
@@ -786,7 +797,7 @@ let serve ?(workers = 0) ?spec ?(config = Config.default)
        into the main domain's trace after the join, the same dance
        {!Fdbs_kernel.Pool} does for its chunks *)
     let domains =
-      List.init (max 1 workers) (fun _ ->
+      List.init workers (fun _ ->
           Stdlib.Domain.spawn (fun () ->
               snd (Trace.isolated (worker server))))
     in

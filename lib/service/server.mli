@@ -17,10 +17,15 @@ type stats = {
   served_requests : int;
 }
 
+(** Worker domains [serve] spawns: [requested] (0 means no limit)
+    capped at [cores] less the dispatcher and a follower's stream, ≥ 1. *)
+val worker_count : requested:int -> cores:int -> follow:bool -> int
+
 (** Bind, listen, and block serving connections until a [shutdown]
     request, SIGINT or SIGTERM. [workers] worker domains serve
-    connections concurrently — 0 (the default) sizes the pool to the
-    machine (one per core, minimum 2). The domains share one store and
+    connections concurrently, at most {!worker_count} (a cap reported on
+    stderr); below 3 cores that is one, so one long request delays the
+    other ready connections. The domains share one store and
     one process-wide planner cache (plan keys mix the schema
     fingerprint, so sharing is safe); reads evaluate against immutable
     store snapshots outside the store lock, and per-request budgets are

@@ -240,12 +240,12 @@ let db (s : t) : Db.t =
 (* ------------------------------------------------------------------ *)
 
 (* The active domain of a call batch, keyed by the procedures' declared
-   parameter sorts — the same fold the CLI has always used, now folded
-   into the store's accumulated domain so carriers only ever grow. *)
+   parameter sorts: grouped by sort, then merged into the store's
+   accumulated domain once per sort, so a bulk load is linear. *)
 let domain_add_calls (schema : Schema.t) (domain : Domain.t)
     (calls : Journal.call list) : (Domain.t, Error.t) result =
-  let rec go d = function
-    | [] -> Ok d
+  let rec go by_sort = function
+    | [] -> Ok (Sort.Map.fold Domain.extend by_sort domain)
     | (name, args) :: rest ->
       (match Schema.find_proc schema name with
        | None ->
@@ -256,17 +256,17 @@ let domain_add_calls (schema : Schema.t) (domain : Domain.t)
        | Some p ->
          (match
             List.fold_left2
-              (fun d (_, srt) v -> Domain.add srt (v :: Domain.carrier d srt) d)
-              d p.Schema.pparams args
+              (fun m (_, srt) v -> Sort.Map.add_to_list srt v m)
+              by_sort p.Schema.pparams args
           with
-          | d -> go d rest
+          | by_sort -> go by_sort rest
           | exception Invalid_argument _ ->
             Result.Error
               (Error.make ~context:[ ("stage", "domain") ] Error.Exec
                  Error.Exec_failure
                  (Fmt.str "procedure %s: arity mismatch" name))))
   in
-  go domain calls
+  go Sort.Map.empty calls
 
 (* A fresh environment over the store's schema and accumulated domain.
    The budget is rebuilt per request ([Config.budget] time deadlines

@@ -165,6 +165,99 @@ let prop_active_domain_covers =
         r)
 
 (* ------------------------------------------------------------------ *)
+(* Domain carriers against their list model                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Observational equality: the same bound sorts, the same carriers. *)
+let domain_equal d1 d2 =
+  Domain.sorts d1 = Domain.sorts d2
+  && List.for_all
+       (fun s -> List.equal Value.equal (Domain.carrier d1 s) (Domain.carrier d2 s))
+       (Sort.bool :: Domain.sorts d1)
+
+let carrier_value_gen sort =
+  let open QCheck.Gen in
+  if Sort.is_bool sort then map (fun b -> Value.Bool b) bool
+  else
+    oneof
+      [
+        map (fun i -> Value.Sym (Fmt.str "v%d" i)) (int_range 0 7);
+        map (fun i -> Value.Int i) (int_range 0 7);
+      ]
+
+let binding_gen =
+  let open QCheck.Gen in
+  let* s = oneofl [ "s"; "t"; Sort.bool ] in
+  let* vs = list_size (int_range 0 8) (carrier_value_gen s) in
+  return (s, vs)
+
+(* A domain, a sort and a batch; half the batches are a subset of a
+   bound carrier, so "nothing new" comes up often. *)
+let extend_case_gen =
+  let open QCheck.Gen in
+  let* bindings = list_size (int_range 0 3) binding_gen in
+  let d = Domain.of_list bindings in
+  let* known = bool in
+  match Domain.sorts d with
+  | sorts when known && sorts <> [] ->
+    let* s = oneofl sorts in
+    let carrier = Domain.carrier d s in
+    let* keep = list_repeat (List.length carrier) bool in
+    return (bindings, s, List.filteri (fun i _ -> List.nth keep i) carrier)
+  | _ ->
+    let* s, vs = binding_gen in
+    return (bindings, s, vs)
+
+let prop_extend_list_model =
+  QCheck.Test.make ~name:"domain extend = list model, itself when nothing is new"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (bs, s, vs) ->
+         Fmt.str "%a + %s {%a}" Domain.pp (Domain.of_list bs) s
+           Fmt.(list ~sep:comma Value.pp) vs)
+       extend_case_gen)
+    (fun (bindings, s, vs) ->
+      let d = Domain.of_list bindings in
+      let e = Domain.extend s vs d in
+      let nothing_new = List.mem s (Domain.sorts d) && List.for_all (Domain.mem d s) vs in
+      domain_equal e (Domain.add s (vs @ Domain.carrier d s) d)
+      && ((not nothing_new) || e == d))
+
+let prop_domain_union_model =
+  QCheck.Test.make ~name:"domain union = list model" ~count:300
+    (QCheck.make QCheck.Gen.(pair (list_size (int_range 0 3) binding_gen)
+                               (list_size (int_range 0 3) binding_gen)))
+    (fun (b1, b2) ->
+      let d1 = Domain.of_list b1 and d2 = Domain.of_list b2 in
+      let model =
+        List.fold_left
+          (fun d s -> Domain.add s (Domain.carrier d1 s @ Domain.carrier d2 s) d)
+          Domain.empty
+          (List.sort_uniq compare (Domain.sorts d1 @ Domain.sorts d2))
+      in
+      domain_equal (Domain.union d1 d2) model)
+
+(* The per-column merge against the per-tuple fold it replaced, on
+   relations whose columns may share a sort. *)
+let prop_active_domain_fold =
+  QCheck.Test.make ~name:"active domain = per-tuple fold" ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Relation.pp)
+       QCheck.Gen.(
+         let* sorts = oneofl [ [ "a"; "b" ]; [ "a"; "a" ] ] in
+         let* r = random_relation_gen in
+         return (Relation.of_list sorts (Relation.to_list r))))
+    (fun r ->
+      let fold =
+        Relation.fold
+          (fun tu acc ->
+            List.fold_left2
+              (fun acc v srt -> Domain.add srt (v :: Domain.carrier acc srt) acc)
+              acc tu (Relation.sorts r))
+          r Domain.empty
+      in
+      domain_equal fold (Relation.active_domain r))
+
+(* ------------------------------------------------------------------ *)
 (* The indexed relation is observationally a list model                *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,6 +538,9 @@ let suite =
       prop_diff_inter_disjoint;
       prop_select_distributes_over_union;
       prop_active_domain_covers;
+      prop_extend_list_model;
+      prop_domain_union_model;
+      prop_active_domain_fold;
       prop_model_membership;
       prop_model_update_sequences;
       prop_model_union_to_list;

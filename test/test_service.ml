@@ -9,6 +9,7 @@ open Fdbs_kernel
 open Fdbs_rpr
 module Session = Fdbs_service.Session
 module Protocol = Fdbs_service.Protocol
+module Server = Fdbs_service.Server
 
 let v s = Value.Sym s
 
@@ -888,6 +889,48 @@ let test_point_txns_build_no_index () =
   Alcotest.(check int) "no column index built" col0
     (builds "relation.col_index_builds")
 
+(* A bulk load grows the carriers by one merge per sort and batch, so
+   20k rows load in about a second; the per-argument re-sort this
+   replaced took minutes. The test stops at the first batch past 30 s,
+   so a quadratic fold fails fast instead of stalling the suite. *)
+let test_bulk_load_linear () =
+  let schema = Rparser.schema_exn transfer_src in
+  let s =
+    match Session.open_ ~schema () with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "open_ failed: %s" (Error.to_string e)
+  in
+  ignore (run_exn s (("initiate", []) :: List.init 20 (fun i -> ("offer", [ course i ]))));
+  let t0 = Unix.gettimeofday () in
+  for b = 0 to 19 do
+    ignore
+      (run_exn s
+         (List.init 1000 (fun j ->
+              let i = (b * 1000) + j in
+              ("enroll", [ student i; course (i mod 20) ]))));
+    let elapsed = Unix.gettimeofday () -. t0 in
+    if elapsed > 30. then
+      Alcotest.failf "batch %d of 20 done after %.1f s (limit 30 s)" (b + 1) elapsed
+  done;
+  Alcotest.(check int) "20k TAKES rows" 20_000
+    (Relation.cardinal (Db.relation_exn (Session.db s) "TAKES"));
+  let _, dom = Session.Store.snapshot (Session.store s) in
+  Alcotest.(check int) "student carrier" 20_000 (Domain.size dom "student");
+  Alcotest.(check int) "course carrier" 20 (Domain.size dom "course")
+
+(* One live domain per core: the dispatcher and a follower's stream
+   take theirs before the workers. *)
+let test_worker_count () =
+  let check name want ~requested ~cores ~follow =
+    Alcotest.(check int) name want (Server.worker_count ~requested ~cores ~follow)
+  in
+  check "default, 2 cores" 1 ~requested:0 ~cores:2 ~follow:false;
+  check "2 requested, 2 cores" 1 ~requested:2 ~cores:2 ~follow:false;
+  check "4 requested, 8 cores" 4 ~requested:4 ~cores:8 ~follow:false;
+  check "default follower, 8 cores" 6 ~requested:0 ~cores:8 ~follow:true;
+  check "default, 1 core" 1 ~requested:0 ~cores:1 ~follow:false;
+  check "follower, 2 cores" 1 ~requested:0 ~cores:2 ~follow:true
+
 (* The ground-selection probe against the naive evaluator: hit, miss,
    negated, and a ground atom whose extra equality contradicts the
    tuple it names. *)
@@ -973,6 +1016,9 @@ let suite =
       test_point_txns_build_no_index;
     Alcotest.test_case "ground atoms: planner agrees with naive" `Quick
       test_ground_atoms_match_naive;
+    Alcotest.test_case "bulk load: 20k rows grow carriers linearly" `Quick
+      test_bulk_load_linear;
+    Alcotest.test_case "serve: one live domain per core" `Quick test_worker_count;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
