@@ -488,13 +488,14 @@ let peer_of (addr : string) : Server.listen =
 let serve_cmd =
   let workers =
     Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Most worker domains serving connections concurrently. \
-                 The server keeps at most one live domain per core: the \
-                 dispatcher (and a $(b,--follow) stream) take one each, \
-                 the workers the rest, at least 1; 0 (the default) means \
-                 that cap, and a larger N is capped with a note on \
-                 stderr. Below 3 cores this leaves one worker, so one \
-                 long request delays the other ready connections.")
+           ~doc:"Most domains serving connections concurrently, the main \
+                 one included. The server keeps at most one live domain \
+                 per core with one core spare: a $(b,--follow) stream \
+                 takes one more, the serving domains the rest, at least \
+                 1; 0 (the default) means that cap, and a larger N is \
+                 capped with a note on stderr. Below 3 cores this leaves \
+                 one domain that accepts, polls and serves, so one long \
+                 request delays the other ready connections.")
   in
   let spec_opt =
     Arg.(value & opt (some file) None & info [ "spec" ] ~docv:"SPEC-FILE"
@@ -520,9 +521,9 @@ let serve_cmd =
   in
   let max_queue_arg =
     Arg.(value & opt int 1024 & info [ "max-queue" ] ~docv:"N"
-           ~doc:"Shed accepted connections once N are already queued for \
-                 workers: the shed connection gets one structured \
-                 overloaded frame and is closed, never parked.")
+           ~doc:"Shed accepted connections once N ready connections \
+                 already await service: the shed connection gets one \
+                 structured overloaded frame and is closed, never parked.")
   in
   let monitors_arg =
     Arg.(value & opt (some file) None & info [ "monitors" ] ~docv:"THEORY-FILE"

@@ -31,6 +31,10 @@ done
 for p in "${pids[@]}"; do wait "$p"; done
 test "$(cat gw-out/* | grep -c '^5 responses$')" -eq 100
 echo "smoke: 100 concurrent connections served"
+# serving domains and cross-domain poll interruptions: wakes stay 0
+# with one serving domain and count the multi-domain path otherwise
+$fds client --socket gw.sock '{"id": 1, "op": "stats"}' \
+  | grep -o '"service\.\(workers\|wakes\)": [0-9]*' | sed 's/^/smoke: /'
 
 # --- 2: multi-tenant isolation + shared planner cache ---------------
 # Warm the query plan on tenant t1, then read the global planner-miss

@@ -214,13 +214,14 @@ module Reader = struct
         else if Bytes.get r.buf i = '\n' then Some i
         else find_nl (i + 1)
       in
-      match find_nl r.pos with
-      | None ->
-        (* no header newline yet; a "header" longer than any length
-           literal is malformed, not pending *)
-        if r.len - r.pos > 32 then
-          fail (proto_error "bad frame header: no length before newline")
-        else `More
+      let nl = find_nl r.pos in
+      (* a header line longer than any length literal is malformed,
+         whether or not its newline has arrived yet, so the verdict
+         does not depend on how the stream was split *)
+      if Option.value nl ~default:r.len - r.pos > 32 then
+        fail (proto_error "bad frame header: no length in 32 bytes");
+      match nl with
+      | None -> `More
       | Some nl ->
         let header = String.trim (Bytes.sub_string r.buf r.pos (nl - r.pos)) in
         if header = "" then begin

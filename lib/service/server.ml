@@ -1,12 +1,12 @@
 (* The fds serve daemon: a socket server speaking Protocol frames, one
-   session per connection over a shared store. The main domain is a
-   dispatcher: it accepts connections and selects over the parked
-   (quiet) ones, moving each to the ready queue the moment it has
-   input; worker domains pop ready connections, drain every buffered
-   frame into one corked flush, and hand the quiet connection back.
-   Workers never block on a socket, so any number of open connections
-   multiplex over a small pool. All database mutation is serialized by
-   the store lock inside Session, so concurrent connections observe
+   session per connection over a shared store. Every serving domain,
+   the main one included, runs one loop: take a ready connection, or
+   select over the parked (quiet) ones when no other domain is
+   polling, and serve what is ready itself — drain every buffered
+   frame into one corked flush, then park the connection again. No
+   domain blocks on a socket read, so any number of open connections
+   multiplex over a few domains. All database mutation is serialized
+   by the store lock inside Session, so concurrent connections observe
    serializable transactions.
 
    Replication: with a journal the server boots as a *leader* — it
@@ -21,8 +21,9 @@
    read-only-and-reconnecting instead of an outage.
 
    Shutdown is cooperative: a "shutdown" request, SIGINT or SIGTERM
-   sets the stop flag; the accept loop (a 0.2s select poll) notices,
-   the queue is drained, workers (and the follow domain) join, and the
+   sets the stop flag; the poller (a 0.2s select) notices, every
+   serving domain leaves its loop, the spawned ones (and the follow
+   domain) join, queued and parked connections are closed, and the
    socket is closed and unlinked. Trace emission is the caller's
    concern (the CLI installs its usual at_exit observer). *)
 
@@ -40,15 +41,15 @@ let describe : listen -> string = function
   | `Tcp (host, port) -> Fmt.str "%s:%d" host port
 
 (* One client connection. A connection is owned by exactly one party at
-   a time: the ready queue, the worker serving it, or the dispatcher's
-   parked watch set (via the idle hand-back list). *)
+   a time: the ready queue, the domain serving it, or the parked table
+   the poller watches. *)
 type conn = {
   fd : Unix.file_descr;
   reader : Protocol.Reader.t;
   oc : out_channel;
   wlock : Mutex.t;
-      (* serializes writes to [oc]: the serving worker's replies and
-         event frames pushed by committing workers interleave at frame
+      (* serializes writes to [oc]: the serving domain's replies and
+         event frames pushed by committing domains interleave at frame
          granularity. Never held across Session calls (the store lock
          nests inside it, not around it). *)
   session : Session.t ref;  (* rebound by [attach] *)
@@ -70,12 +71,13 @@ type t = {
   role : Protocol.role;
   sock : Unix.file_descr;
   stop : bool Atomic.t;
-  queue : conn Queue.t;  (* connections with input waiting for a worker *)
+  (* [queue], [parked] and [polling] are guarded by [qlock] *)
+  queue : conn Queue.t;  (* connections with input waiting to be served *)
+  parked : (Unix.file_descr, conn) Hashtbl.t;  (* quiet connections *)
+  mutable polling : bool;  (* a domain is selecting over [parked] *)
   qlock : Mutex.t;
   qcond : Condition.t;
-  idle : conn list ref;  (* drained connections headed back to the watch
-                            set; guarded by [qlock] *)
-  wake_r : Unix.file_descr;  (* self-pipe: workers poke the dispatcher *)
+  wake_r : Unix.file_descr;  (* self-pipe: interrupts the poller's select *)
   wake_w : Unix.file_descr;
   namespaces : (string, Session.Store.t) Hashtbl.t;
   ns_lock : Mutex.t;
@@ -99,19 +101,23 @@ let c_shed = Metrics.counter "service.shed"
 let c_attached = Metrics.counter "service.attached"
 let c_subscribed = Metrics.counter "service.subscribed"
 let c_events_pushed = Metrics.counter "service.events_pushed"
+let c_wakes = Metrics.counter "service.wakes"
 
 let wake_byte = Bytes.of_string "x"
 
+(* Takes no lock, so the signal handler can call it. *)
 let wake server =
+  Metrics.incr c_wakes;
   try ignore (Unix.write server.wake_w wake_byte 0 1)
   with Unix.Unix_error _ -> ()
 
 let request_stop server =
   Atomic.set server.stop true;
-  wake server;
   Mutex.lock server.qlock;
   Condition.broadcast server.qcond;
-  Mutex.unlock server.qlock
+  let poke = server.polling in
+  Mutex.unlock server.qlock;
+  if poke then wake server
 
 let bad_request fmt =
   Fmt.kstr (fun m -> Error.make Error.Parse Error.Exec_failure m) fmt
@@ -214,10 +220,10 @@ let handle_attach server (req : Protocol.request) :
 (* ------------------------------------------------------------------ *)
 
 (* Fan a batch of monitor events out to every subscribed connection as
-   violation frames. Runs on the committing worker (the store sink is
+   violation frames. Runs on the committing domain (the store sink is
    called from the commit's publish phase), so pushes are short
    buffered writes; a subscriber whose socket fails is dropped from
-   the registry and left for the dispatcher to reap. *)
+   the registry and closed when the poller next finds it at EOF. *)
 let broadcast_events server (events : Monitor.event list) =
   Mutex.lock server.sub_lock;
   let subs = Hashtbl.fold (fun _ c acc -> c :: acc) server.subscribers [] in
@@ -275,15 +281,14 @@ let unsubscribe server conn =
 (* connections                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Connections are multiplexed, not owned: a worker serves a *ready*
+(* Connections are multiplexed, not owned: a domain serves a *ready*
    connection by draining every frame the client has already sent
    (answering into the output buffer), flushing once the pipeline is
-   empty, and handing the quiet connection back to the dispatcher's
-   select set. A worker therefore never blocks on a socket — a client
-   may hold any number of open connections (`fds client --pool`, or
-   simply an idle session) without starving the pool, and a pipelined
-   burst of N requests gets N responses in order behind one corked
-   flush. *)
+   empty, and parking the quiet connection where the poller watches
+   it. No domain ever blocks on a socket read — a client may hold any
+   number of open connections (`fds client --pool`, or simply an idle
+   session) without starving the others, and a pipelined burst of N
+   requests gets N responses in order behind one corked flush. *)
 
 let new_conn server fd =
   {
@@ -363,7 +368,7 @@ let handle_frame server conn payload =
           (match
              (* Per-request budgets are rebuilt inside the handler
                 from the store config, so accounting stays exact
-                whichever worker domain serves the request; reads
+                whichever domain serves the request; reads
                 evaluate against a shared snapshot outside the store
                 lock. *)
              let t0 = Mclock.now_us () in
@@ -393,15 +398,17 @@ let close_conn server conn =
   Session.close !(conn.session);
   close_out_noerr conn.oc
 
-(* Hand a drained connection back to the dispatcher. Data that arrives
-   between the worker's last poll and the dispatcher's next select is
-   not lost: select is level-triggered, so the fd reports readable the
-   moment it is watched. *)
+(* Park a drained connection where the poller watches it. Data that
+   arrives between the last read and the next select is not lost:
+   select is level-triggered, so the fd reports readable the moment it
+   is watched. Only a domain in select at this moment watches a set
+   without this connection, so only then is the wake pipe written. *)
 let park server conn =
   Mutex.lock server.qlock;
-  server.idle := conn :: !(server.idle);
+  Hashtbl.replace server.parked conn.fd conn;
+  let poke = server.polling in
   Mutex.unlock server.qlock;
-  wake server
+  if poke then wake server
 
 let serve_ready server conn =
   let step () =
@@ -440,27 +447,10 @@ let serve_ready server conn =
   | `Park -> park server conn
   | `Close -> close_conn server conn
 
-let worker server () =
-  let rec loop () =
-    Mutex.lock server.qlock;
-    while Queue.is_empty server.queue && not (Atomic.get server.stop) do
-      Condition.wait server.qcond server.qlock
-    done;
-    let job = Queue.take_opt server.queue in
-    Mutex.unlock server.qlock;
-    match job with
-    | None -> ()
-    | Some conn ->
-      if Atomic.get server.stop then close_conn server conn
-      else serve_ready server conn;
-      loop ()
-  in
-  loop ()
-
 (* Shed load instead of queueing without bound: a connection accepted
    while the queue is already [max_queue] deep gets one structured
-   Overloaded frame (with a retry hint) and is closed — it is never
-   parked where no worker will reach it. *)
+   Overloaded frame (with a retry hint) and is closed instead of
+   waiting behind them. *)
 let shed_connection fd =
   Metrics.incr c_shed;
   let oc = Unix.out_channel_of_descr fd in
@@ -472,79 +462,77 @@ let shed_connection fd =
    with Sys_error _ -> ());
   close_out_noerr oc
 
-let enqueue_ready server conn =
-  Mutex.lock server.qlock;
-  Queue.push conn server.queue;
-  Condition.signal server.qcond;
-  Mutex.unlock server.qlock
-
+(* Called with [qlock] held, after the connections found ready in the
+   same select are queued, so [max_queue] counts those too. *)
 let accept_one server =
   match Unix.accept server.sock with
   | exception Unix.Unix_error (_, _, _) -> ()
   | fd, _ ->
-    Mutex.lock server.qlock;
-    let depth = Queue.length server.queue in
-    if depth >= server.max_queue then (
-      Mutex.unlock server.qlock;
-      shed_connection fd)
+    if Queue.length server.queue >= server.max_queue then shed_connection fd
     else (
       Atomic.incr server.connections;
       (* straight to the ready queue: the first service pass answers
          whatever the client sent with the connect, or parks it *)
-      Queue.push (new_conn server fd) server.queue;
-      Condition.signal server.qcond;
-      Mutex.unlock server.qlock)
+      Queue.push (new_conn server fd) server.queue)
 
-(* The dispatcher: accept new connections and select over the parked
-   (quiet) ones, moving each back to the ready queue the moment it has
-   input. Workers hand drained connections back through [server.idle]
-   and poke [wake_w] so a park during a long select is adopted
-   immediately rather than at the next 0.2s tick. *)
-let accept_loop server =
-  let parked : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
-  let adopt_idle () =
-    Mutex.lock server.qlock;
-    let newly = !(server.idle) in
-    server.idle := [];
-    Mutex.unlock server.qlock;
-    List.iter (fun conn -> Hashtbl.replace parked conn.fd conn) newly
+(* Select over the listening socket, the wake pipe and the parked
+   connections; queue those with input, then accept a new one. Called
+   and returns with [qlock] held; the select runs without it. *)
+let poll server =
+  server.polling <- true;
+  let watch =
+    server.sock :: server.wake_r
+    :: Hashtbl.fold (fun fd _ acc -> fd :: acc) server.parked []
   in
-  let drain_wake () =
-    let buf = Bytes.create 64 in
-    let rec go () =
-      match Unix.read server.wake_r buf 0 (Bytes.length buf) with
-      | n when n = Bytes.length buf -> go ()
-      | _ -> ()
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        -> ()
-    in
-    go ()
-  in
-  while not (Atomic.get server.stop) do
-    adopt_idle ();
-    let watch =
-      server.sock :: server.wake_r
-      :: Hashtbl.fold (fun fd _ acc -> fd :: acc) parked []
-    in
+  Mutex.unlock server.qlock;
+  let ready =
     match Unix.select watch [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-      List.iter
-        (fun fd ->
-          if fd = server.sock then accept_one server
-          else if fd = server.wake_r then drain_wake ()
-          else
-            match Hashtbl.find_opt parked fd with
-            | None -> ()
-            | Some conn ->
-              Hashtbl.remove parked fd;
-              enqueue_ready server conn)
-        ready
-  done;
-  (* stopping: close every quiet connection still on the watch set *)
-  adopt_idle ();
-  Hashtbl.iter (fun _ conn -> close_conn server conn) parked
+    | ready, _, _ -> ready
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+  in
+  Mutex.lock server.qlock;
+  server.polling <- false;
+  List.iter
+    (fun fd ->
+      match Hashtbl.find_opt server.parked fd with
+      | Some conn ->
+        Hashtbl.remove server.parked fd;
+        Queue.push conn server.queue
+      | None -> ())
+    ready;
+  (* a byte left over wakes the next select early, harmlessly *)
+  if List.mem server.wake_r ready then (
+    try ignore (Unix.read server.wake_r (Bytes.create 64) 0 64)
+    with Unix.Unix_error _ -> ());
+  if List.mem server.sock ready then accept_one server
+
+(* The loop every serving domain runs, the main one included: take a
+   ready connection, or poll for some when no other domain is polling,
+   or wait on [qcond] until that one queues work or stops polling. A
+   domain that takes a connection signals [qcond] when work is still
+   queued or nobody polls, so the poll passes on while it serves; with
+   one serving domain nobody waits and the signal costs no syscall. *)
+let serving_loop server () =
+  Mutex.lock server.qlock;
+  let rec loop () =
+    if Atomic.get server.stop then (
+      Condition.broadcast server.qcond;
+      Mutex.unlock server.qlock)
+    else
+      match Queue.take_opt server.queue with
+      | None ->
+        if server.polling then Condition.wait server.qcond server.qlock
+        else poll server;
+        loop ()
+      | Some conn ->
+        if not (server.polling && Queue.is_empty server.queue) then
+          Condition.signal server.qcond;
+        Mutex.unlock server.qlock;
+        serve_ready server conn;
+        Mutex.lock server.qlock;
+        loop ()
+  in
+  loop ()
 
 let io_error fmt =
   Fmt.kstr (fun m -> Error.make Error.Io Error.Io_failure m) fmt
@@ -645,8 +633,10 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
 (* serve                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* At most one live domain per core: every minor collection stops all
-   domains, so one without a core of its own holds the others up. *)
+(* Serving domains, the main one included: one core is left spare and
+   a follower's stream takes another, at least 1. At most one live
+   domain per core: every minor collection stops all domains, so one
+   without a core of its own holds the others up. *)
 let worker_count ~requested ~cores ~follow =
   let cap = Stdlib.max 1 (cores - 1 - Bool.to_int follow) in
   if requested <= 0 then cap else Stdlib.min requested cap
@@ -655,8 +645,8 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
     ?(ready = fun () -> ()) ?follow ?snapshot_every ?auth ?(max_queue = 1024)
     ?monitors (listen : listen) schema : (stats, Error.t) result =
   let ( let* ) = Result.bind in
-  (* Workers never block on sockets (the dispatcher holds the quiet
-     connections), and they share one store — and one process-wide
+  (* Serving domains never block on a socket read (quiet connections
+     are parked), and they share one store — and one process-wide
      planner cache, safe because plan keys mix the schema fingerprint —
      so every domain serves requests against warm plans. *)
   let workers =
@@ -749,6 +739,7 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
     Hashtbl.add namespaces "default" store;
     let wake_r, wake_w = Unix.pipe () in
     Unix.set_nonblock wake_r;
+    Unix.set_nonblock wake_w;
     let server =
       {
         store;
@@ -761,9 +752,10 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
         sock;
         stop = Atomic.make false;
         queue = Queue.create ();
+        parked = Hashtbl.create 64;
+        polling = false;
         qlock = Mutex.create ();
         qcond = Condition.create ();
-        idle = ref [];
         wake_r;
         wake_w;
         namespaces;
@@ -775,7 +767,7 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
       }
     in
     (* monitor events fan out to subscribed connections from the
-       committing worker's publish phase *)
+       committing domain's publish phase *)
     (match Session.Store.monitors store with
      | Some _ ->
        (match
@@ -786,20 +778,21 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
      | None -> ());
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* the handler may run while its domain holds [qlock], so it takes
-       no lock; [request_stop] below wakes the workers *)
+       no lock: the poller sees the flag and the first domain to leave
+       its loop wakes the others *)
     let on_signal =
       Sys.Signal_handle (fun _ -> Atomic.set server.stop true; wake server)
     in
     Sys.set_signal Sys.sigint on_signal;
     Sys.set_signal Sys.sigterm on_signal;
-    (* workers record trace spans into their own domain-local
-       collector; collect them with [Trace.isolated] and graft them
-       into the main domain's trace after the join, the same dance
-       {!Fdbs_kernel.Pool} does for its chunks *)
+    (* spawned serving domains record trace spans into their own
+       domain-local collector; collect them with [Trace.isolated] and
+       graft them into the main domain's trace after the join, the same
+       dance {!Fdbs_kernel.Pool} does for its chunks *)
     let domains =
-      List.init workers (fun _ ->
+      List.init (workers - 1) (fun _ ->
           Stdlib.Domain.spawn (fun () ->
-              snd (Trace.isolated (worker server))))
+              snd (Trace.isolated (serving_loop server))))
     in
     let follower_domain =
       match (replica, follow) with
@@ -814,16 +807,15 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
       | _ -> None
     in
     ready ();
-    accept_loop server;
-    request_stop server;
+    serving_loop server ();
     List.iter (fun d -> Trace.graft (Stdlib.Domain.join d)) domains;
     (match follower_domain with
      | Some d -> Trace.graft (Stdlib.Domain.join d)
      | None -> ());
-    (* workers are gone: close any connection parked after the
-       dispatcher's final sweep, then the self-pipe *)
-    List.iter (close_conn server) !(server.idle);
-    server.idle := [];
+    (* every serving domain has left its loop: close the connections
+       still queued or parked, then the self-pipe *)
+    Queue.iter (close_conn server) server.queue;
+    Hashtbl.iter (fun _ conn -> close_conn server conn) server.parked;
     Unix.close wake_r;
     Unix.close wake_w;
     Unix.close sock;

@@ -1,10 +1,11 @@
 (** The [fds serve] daemon: a socket server speaking {!Protocol}
     frames, one {!Session} per connection over a single shared
-    {!Session.Store}. A dispatcher selects over quiet connections and
-    worker domains serve the ready ones — a worker never blocks on a
-    socket, so any number of open connections multiplex over a small
-    pool; the store lock serializes database mutation, so concurrent
-    transactions are serializable. *)
+    {!Session.Store}. Every serving domain, the main one included,
+    runs one loop: take a ready connection, or select over the quiet
+    ones when no other domain is, and serve it. No domain blocks on a
+    socket read, so any number of open connections multiplex over a
+    few domains; the store lock serializes database mutation, so
+    concurrent transactions are serializable. *)
 
 open Fdbs_kernel
 
@@ -17,24 +18,25 @@ type stats = {
   served_requests : int;
 }
 
-(** Worker domains [serve] spawns: [requested] (0 means no limit)
-    capped at [cores] less the dispatcher and a follower's stream, ≥ 1. *)
+(** Serving domains [serve] runs, the main one included: [requested]
+    (0 means no limit) capped at [cores] less one spare core and a
+    follower's stream, ≥ 1. *)
 val worker_count : requested:int -> cores:int -> follow:bool -> int
 
 (** Bind, listen, and block serving connections until a [shutdown]
-    request, SIGINT or SIGTERM. [workers] worker domains serve
-    connections concurrently, at most {!worker_count} (a cap reported on
-    stderr); below 3 cores that is one, so one long request delays the
-    other ready connections. The domains share one store and
-    one process-wide planner cache (plan keys mix the schema
-    fingerprint, so sharing is safe); reads evaluate against immutable
+    request, SIGINT or SIGTERM. [workers] serving domains, the main
+    one included, serve connections concurrently, at most
+    {!worker_count} (a cap reported on stderr); below 3 cores that is
+    one, so one long request delays the other ready connections. The
+    domains share one store and one process-wide planner cache (plan
+    keys mix the schema fingerprint, so sharing is safe); reads evaluate against immutable
     store snapshots outside the store lock, and per-request budgets are
     rebuilt per request so accounting stays exact whichever domain
     serves. [ready] runs once the socket is listening (the CLI prints
     its "serving on" line there). On return the socket is closed (and
-    unlinked for Unix sockets) and all workers have joined. [Error]
-    means the store could not be created or the address could not be
-    bound.
+    unlinked for Unix sockets) and all serving domains have joined.
+    [Error] means the store could not be created or the address could
+    not be bound.
 
     Replication: with a journal in [config] (and no [follow]) the
     server is a {e leader} — it recovers the journal's committed state
@@ -50,16 +52,16 @@ val worker_count : requested:int -> cores:int -> follow:bool -> int
 
     Gateway behavior: connections are pipelined and multiplexed —
     every frame the client has already sent is answered in order into
-    one corked flush, the quiet connection returns to the dispatcher's
-    select set (no worker ever blocks on a socket, so idle or pooled
-    connections cannot starve the pool), and the [batch] op executes N
+    one corked flush, the quiet connection is parked for the next
+    select (no domain ever blocks on a socket read, so idle or pooled
+    connections cannot starve the others), and the [batch] op executes N
     requests in a single frame exchange. Admission control:
     [config.rate_limit]/[rate_burst] token-bucket requests per
     connection and [config.step_rate] meters budget steps per store;
     over-limit requests get a structured [Overloaded] error with a
     [retry-after-ms] hint instead of stalling. Connections accepted
-    while [max_queue] (default 1024) connections already await a
-    worker are shed with one [Overloaded] frame. The [attach] op binds a
+    while [max_queue] (default 1024) ready connections already await
+    service are shed with one [Overloaded] frame. The [attach] op binds a
     connection to a named namespace — an independent store with its own
     journal ([config.journal ^ "." ^ name], recovered at first attach)
     over the shared planner cache; with [auth] set, [attach] requires

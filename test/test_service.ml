@@ -918,14 +918,18 @@ let test_bulk_load_linear () =
   Alcotest.(check int) "student carrier" 20_000 (Domain.size dom "student");
   Alcotest.(check int) "course carrier" 20 (Domain.size dom "course")
 
-(* One live domain per core: the dispatcher and a follower's stream
-   take theirs before the workers. *)
+(* Serving domains, the main one included: one per core less a spare
+   core and a follower's stream, at least 1. *)
 let test_worker_count () =
   let check name want ~requested ~cores ~follow =
-    Alcotest.(check int) name want (Server.worker_count ~requested ~cores ~follow)
+    Alcotest.(check int)
+      (name ^ ": serving domains, the main one included")
+      want
+      (Server.worker_count ~requested ~cores ~follow)
   in
   check "default, 2 cores" 1 ~requested:0 ~cores:2 ~follow:false;
   check "2 requested, 2 cores" 1 ~requested:2 ~cores:2 ~follow:false;
+  check "default, 4 cores" 3 ~requested:0 ~cores:4 ~follow:false;
   check "4 requested, 8 cores" 4 ~requested:4 ~cores:8 ~follow:false;
   check "default follower, 8 cores" 6 ~requested:0 ~cores:8 ~follow:true;
   check "default, 1 core" 1 ~requested:0 ~cores:1 ~follow:false;
@@ -971,6 +975,198 @@ let test_ground_atoms_match_naive () =
     "exists s:student. (TAKES(s, y) & s = x & s = x2)" clash false;
   check "agreeing equality"
     "exists s:student. (TAKES(s, y) & s = x & s = x2)" (at 3 1) true
+
+(* --- Reader fuzz: random streams in random chunk splits --- *)
+
+(* A stream is well-formed segments (frames, blank lines) followed by
+   one tail. The tail decides the outcome once every byte is written
+   and the writer is still open: [`Pending] for a clean end or a frame
+   cut short, [`Error] for a malformed header or frame (bytes after
+   the first malformed one are arbitrary). *)
+type fuzz_tail =
+  | Clean
+  | Partial_header of string  (* length digits, no newline yet *)
+  | Truncated of string * int  (* the payload and how much of it arrives *)
+  | Bad_header of string
+  | Oversized
+  | Long_header of string  (* a header line past 32 bytes *)
+  | No_newline of string  (* a payload followed by a byte other than '\n' *)
+
+type fuzz_stream = {
+  segments : [ `Frame of string | `Blank of string ] list;
+  tail : fuzz_tail;
+  garbage : string;
+  splits : int list;  (* chunk sizes, cycled *)
+  size : int;  (* the reader's initial buffer *)
+}
+
+let frame_bytes p = Fmt.str "%d\n%s\n" (String.length p) p
+
+let fuzz_bytes s =
+  let seg = function `Frame p -> frame_bytes p | `Blank b -> b ^ "\n" in
+  let tail =
+    match s.tail with
+    | Clean -> ""
+    | Partial_header d -> d
+    | Truncated (p, k) -> Fmt.str "%d\n%s" (String.length p) (String.sub p 0 k)
+    | Bad_header h -> h ^ "\n" ^ s.garbage
+    | Oversized -> Fmt.str "%d\n%s" (16 * 1024 * 1024 + 1) s.garbage
+    | Long_header pad -> pad ^ "1\nx\n" ^ s.garbage
+    | No_newline p -> Fmt.str "%d\n%sX%s" (String.length p) p s.garbage
+  in
+  String.concat "" (List.map seg s.segments) ^ tail
+
+let fuzz_expected s =
+  ( List.filter_map (function `Frame p -> Some p | `Blank _ -> None) s.segments,
+    match s.tail with
+    | Clean | Partial_header _ | Truncated _ -> `Pending
+    | Bad_header _ | Oversized | Long_header _ | No_newline _ -> `Error )
+
+let fuzz_gen =
+  let open QCheck.Gen in
+  let payload = string_size ~gen:char (int_range 0 120) in
+  let segment =
+    frequency
+      [
+        (4, map (fun p -> `Frame p) payload);
+        (1, map (fun b -> `Blank b) (oneofl [ ""; " "; "\r"; " \t " ]));
+      ]
+  in
+  let tail =
+    frequency
+      [
+        (2, return Clean);
+        (1, map (fun n -> Partial_header (string_of_int n)) (int_range 0 99999));
+        ( 2,
+          payload >>= fun p ->
+          map (fun k -> Truncated (p, k)) (int_range 0 (String.length p)) );
+        (1, map (fun h -> Bad_header h) (oneofl [ "abc"; "12z"; "-1"; "1 2"; "x" ]));
+        (1, return Oversized);
+        (1, map (fun n -> Long_header (String.make n ' ')) (int_range 32 40));
+        (1, map (fun p -> No_newline p) payload);
+      ]
+  in
+  map
+    (fun ((segments, tail), (garbage, (splits, size))) ->
+      { segments; tail; garbage; splits; size })
+    (pair
+       (pair (list_size (int_range 0 12) segment) tail)
+       (pair
+          (string_size ~gen:char (int_range 0 40))
+          (pair
+             (list_size (int_range 1 8) (int_range 1 64))
+             (oneofl [ 1; 7; 64; 65536 ]))))
+
+(* Feed the stream chunk by chunk through a socketpair, draining the
+   reader with [~block:false] after each chunk. The reader's end is
+   non-blocking, so a read that would have blocked raises [Unix_error]
+   and fails the property instead of hanging it. *)
+let fuzz_run s =
+  let bytes = fuzz_bytes s in
+  let rfd, wfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock rfd;
+  let r = Protocol.Reader.create ~size:s.size rfd in
+  let frames = ref [] in
+  let rec drain () =
+    match Protocol.Reader.next r ~block:false with
+    | `Frame p ->
+      frames := p :: !frames;
+      drain ()
+    | `Pending -> ()
+    | `Eof -> failwith "`Eof while the writer is open"
+  in
+  let rec feed pos splits =
+    if pos < String.length bytes then (
+      let k, rest =
+        match splits with [] -> (max_int, []) | k :: rest -> (k, rest @ [ k ])
+      in
+      let k = min k (String.length bytes - pos) in
+      ignore (Unix.write_substring wfd bytes pos k);
+      drain ();
+      feed (pos + k) rest)
+  in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Unix.close rfd; Unix.close wfd)
+      (fun () ->
+        match feed 0 s.splits; drain () with
+        | () -> `Pending
+        | exception Error.Error _ -> `Error)
+  in
+  (List.rev !frames, outcome)
+
+let reader_fuzz =
+  QCheck.Test.make ~name:"framing: the reader never blocks on random streams"
+    ~count:500
+    (QCheck.make
+       ~print:(fun s -> Fmt.str "%S in chunks of %a, buffer %d"
+                  (fuzz_bytes s) Fmt.(Dump.list int) s.splits s.size)
+       fuzz_gen)
+    (fun s -> fuzz_run s = fuzz_expected s)
+
+(* --- a one-domain server does not stall on quiet connections --- *)
+
+(* With one serving domain, the domain that polls also serves: a
+   connection holding half a frame and one that never speaks must not
+   hold up a third. Every client read times out after 5 s, so a stall
+   fails the test instead of hanging it. *)
+let test_one_domain_no_stall () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Fmt.str "fds_stall_%d.sock" (Unix.getpid ()))
+  in
+  let up = Atomic.make false and finished = Atomic.make false in
+  let server =
+    Stdlib.Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            Server.serve ~workers:1 ~ready:(fun () -> Atomic.set up true)
+              (`Unix path) schema))
+  in
+  while not (Atomic.get up || Atomic.get finished) do Unix.sleepf 0.01 done;
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    fd
+  in
+  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+  let reply r =
+    match Protocol.Reader.next r ~block:true with
+    | `Frame p -> p
+    | `Eof | `Pending -> Alcotest.fail "connection closed without a reply"
+  in
+  let ping id = Fmt.str {|{"id": %d, "op": "ping"}|} id in
+  let pong id = Fmt.str {|{"id": %d, "ok": true, "result": "pong"}|} id in
+  let half = connect () and silent = connect () and busy = connect () in
+  let frame = frame_bytes (ping 0) in
+  let cut = String.length frame / 2 in
+  send half (String.sub frame 0 cut);
+  let t0 = Unix.gettimeofday () in
+  let r = Protocol.Reader.create busy in
+  for i = 1 to 100 do
+    send busy (frame_bytes (ping i));
+    Alcotest.(check string) "busy reply" (pong i) (reply r)
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 5. then Alcotest.failf "100 requests took %.1f s" elapsed;
+  send half (String.sub frame cut (String.length frame - cut));
+  Alcotest.(check string) "the half frame, completed" (pong 0)
+    (reply (Protocol.Reader.create half));
+  send busy (frame_bytes {|{"id": 101, "op": "shutdown"}|});
+  Alcotest.(check string) "shutdown"
+    {|{"id": 101, "ok": true, "result": "bye"}|} (reply r);
+  let deadline = Unix.gettimeofday () +. 5. in
+  while not (Atomic.get finished) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get finished) then Alcotest.fail "still serving 5 s after shutdown";
+  (match Stdlib.Domain.join server with
+   | Ok stats -> Alcotest.(check int) "connections" 3 stats.Server.served_connections
+   | Error e -> Alcotest.failf "serve: %s" (Error.to_string e));
+  List.iter Unix.close [ half; silent; busy ];
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
 let suite =
   [
@@ -1019,10 +1215,13 @@ let suite =
     Alcotest.test_case "bulk load: 20k rows grow carriers linearly" `Quick
       test_bulk_load_linear;
     Alcotest.test_case "serve: one live domain per core" `Quick test_worker_count;
+    Alcotest.test_case "serve: one domain serves past quiet connections" `Quick
+      test_one_domain_no_stall;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         concurrent_commits_serializable;
         replication_converges;
         batch_frames_roundtrip;
+        reader_fuzz;
       ]
