@@ -135,8 +135,10 @@ let journal_arg =
 
 let fsync_arg =
   Arg.(value & flag & info [ "fsync" ]
-         ~doc:"fsync the journal after every committed append, so a commit \
-               survives power loss, not just a process crash. Implied for a \
+         ~doc:"fsync the journal so a commit survives power loss, not just a \
+               process crash: after each committed append, or in fds serve \
+               once per served batch of commits (group commit), always \
+               before the commit is acknowledged. Implied for a \
                replication leader (fds serve --journal).")
 
 let rate_limit_arg =
@@ -598,9 +600,12 @@ let serve_cmd =
           length-prefixed JSON frames (see the protocol reference in the \
           README). With --journal the server is a replication leader \
           (fsynced journal, serves the 'fetch' op); with --follow it is a \
-          read-only follower of a leader. A 'shutdown' request, SIGINT or \
-          SIGTERM stops the server gracefully: the journal is already \
-          durable per commit, the trace observer fires on exit.")
+          read-only follower of a leader. A leader fsyncs its journal once \
+          per served batch of commits and acknowledges each commit only \
+          after the fsync that covers it; a failed fsync stops the server \
+          with an error. A 'shutdown' request, SIGINT or SIGTERM stops the \
+          server gracefully: every acknowledged commit is already durable, \
+          the trace observer fires on exit.")
     Term.(const run $ schema_file $ socket_arg $ tcp_arg $ workers $ spec_opt
           $ follow_arg $ snapshot_every_arg $ auth_arg $ max_queue_arg
           $ monitors_arg $ enforce_arg $ fault_arg $ config_term)

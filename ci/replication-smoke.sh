@@ -4,13 +4,16 @@
 # sockets. SIGKILL the leader mid-stream: the follower must keep
 # serving reads from its snapshot + journal, reject writes with a
 # structured read-only error, and hold exactly the state a fresh
-# replay of each surviving journal reproduces. Run from the repo root:
+# replay of each surviving journal reproduces. Then group commit: four
+# concurrent committers against a journaled leader (several serving
+# domains on a 4-core runner), SIGKILL mid-stream, and a restart that
+# must replay every acknowledged commit. Run from the repo root:
 #   bash ci/replication-smoke.sh
 set -euo pipefail
 
 rm -f leader.sock follower.sock leader.journal follower.journal \
   follower.journal.snap leader.log follower.log \
-  trace-leader.json trace-follower.json
+  trace-leader.json trace-follower.json gc.sock gc.journal gc.log gc-ack.*
 dune build bin/fds.exe bench/trace_validate.exe
 fds=_build/default/bin/fds.exe
 FDBS_TRACE_VIRTUAL_TS=1 $fds serve specs/university.schema \
@@ -68,6 +71,45 @@ echo "$lrep"
 test -n "$lrep"
 test "$lrep" = "$frep"
 # the follower's recovery is snapshot-bounded
-$fds replay specs/university.schema follower.journal | grep -q "installed snapshot"
+$fds replay specs/university.schema follower.journal | grep "installed snapshot" >/dev/null
 dune exec bench/trace_validate.exe -- trace-follower.json
+
+# --- group commit: every acknowledged commit survives SIGKILL --------
+$fds serve specs/university.schema --socket gc.sock --transactional \
+  --journal gc.journal --workers 4 2>gc.log &
+gc=$!
+$fds client --socket gc.sock --retries 10 \
+  '{"id": 0, "op": "run", "calls": ["initiate()"]}' >/dev/null
+committers=()
+for k in 1 2 3 4; do
+  for i in $(seq 1 400); do
+    echo "{\"id\": $i, \"op\": \"run\", \"calls\": [\"offer(g${k}_$i)\"]}"
+  done | $fds client --socket gc.sock >"gc-ack.$k" 2>/dev/null &
+  committers+=($!)
+done
+for i in $(seq 1 100); do
+  test "$(cat gc-ack.* | wc -l)" -ge 400 && break
+  sleep 0.05
+done
+stats=$($fds client --socket gc.sock '{"id": 0, "op": "stats"}')
+echo "$stats" | grep -o '"\(journal.syncs\|journal.appends\|txn.commits\|service.workers\)": [0-9]*'
+kill -9 "$gc"
+wait "$gc" || true
+for pid in "${committers[@]}"; do wait "$pid" || true; done
+$fds serve specs/university.schema --socket gc.sock --transactional \
+  --journal gc.journal 2>>gc.log &
+gc=$!
+$fds client --socket gc.sock --retries 10 '{"id": 0, "op": "state"}' |
+  grep -o '"g[0-9]*_[0-9]*"' | tr -d '"' | sort >gc-ack.present
+for k in 1 2 3 4; do
+  grep -o '"id": [0-9]*, "ok": true' "gc-ack.$k" | grep -o '[0-9]*,' |
+    tr -d , | sed "s/^/g${k}_/"
+done | sort >gc-ack.acked
+lost=$(comm -23 gc-ack.acked gc-ack.present)
+test -z "$lost" || { echo "acknowledged commits lost by the restart: $lost"; exit 1; }
+echo "restart replayed all $(wc -l <gc-ack.acked) acknowledged commits" \
+  "($(wc -l <gc-ack.present) journaled)"
+test -s gc-ack.acked
+$fds client --socket gc.sock '{"id": 1, "op": "shutdown"}' >/dev/null
+wait "$gc"
 echo "replication smoke ok"

@@ -20,9 +20,11 @@ type t = {
   transactional : bool;  (** run call batches as atomic transactions *)
   journal : string option;  (** write-ahead journal path *)
   fsync : bool;
-      (** fsync the journal after every committed entry, so commits
-          survive power loss (not just a process crash); replication
-          leaders force this on *)
+      (** fsync the journal so commits survive power loss (not just a
+          process crash): before each commit returns, or in [fds
+          serve] once per served batch, before any reply that depends
+          on it leaves — an ack always follows the fsync that covers
+          its entry. Replication leaders force this on *)
   trace : string option;  (** Chrome-trace output file *)
   stats : bool;  (** print the metrics snapshot on exit *)
   rate_limit : float option;

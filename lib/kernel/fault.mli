@@ -6,7 +6,9 @@
     ({!arm_probability}, seeded PRNG); nothing fires unless armed.
 
     Transaction sites: [txn.begin], [txn.commit], [txn.constraint],
-    [journal.append], [semantics.exec]. Replication sites:
+    [journal.append], [semantics.exec]. [journal.sync] fires just
+    before a group-commit fsync in [fds serve] (the server acknowledges
+    nothing the sync would have covered, and stops). Replication sites:
     [replication.snapshot] fires between writing a snapshot's temp file
     and renaming it into place (a torn snapshot on disk — recovery must
     fall back to the previous snapshot plus a longer replay);

@@ -30,10 +30,14 @@
       so a crash between the two leaves a longer journal, never a gap.
 
     Durability: {!append} flushes the channel (the entry survives a
-    process crash); with [~fsync:true] it additionally [fsync]s the
-    file descriptor before returning, so the entry survives an
-    operating-system crash or power loss. Replication leaders run with
-    fsync on. *)
+    process crash); with [~fsync:true] the entry is also made to
+    survive an operating-system crash or power loss. Outside
+    {!deferring} that fsync happens before [append] returns. Inside it
+    — the serving loop of [fds serve] — the append only records sync
+    debt, and one {!sync} later covers every entry appended before it
+    (group commit): the server acknowledges nothing, and sends no byte
+    that depends on an entry, before the fsync that covers it.
+    Replication leaders run with fsync on. *)
 
 open Fdbs_kernel
 
@@ -109,16 +113,87 @@ let parse_line (s : string) : line =
 
 let sync_out oc = Unix.fsync (Unix.descr_of_out_channel oc)
 
+let c_appends = Metrics.counter "journal.appends"
+let c_syncs = Metrics.counter "journal.syncs"
+
+(* Group commit. [appended] counts the fsync-mode appends made inside
+   {!deferring}, [synced] how many of them are known durable. An
+   append counts itself and marks its file dirty before writing, all
+   under [io_lock], so every such byte a reader can see in a file is
+   already counted; a sync reads its target and takes the dirty files
+   under the same lock, so every write it counts has completed before
+   its fsync starts. *)
+let appended = Atomic.make 0
+let synced = Atomic.make 0
+let io_lock = Mutex.create ()
+let dirty : string list ref = ref []  (* guarded by [io_lock] *)
+(* one fsync at a time; a caller arriving during it joins the next *)
+let sync_lock = Mutex.create ()
+let defer_key = Stdlib.Domain.DLS.new_key (fun () -> false)
+
+let deferring f =
+  Stdlib.Domain.DLS.set defer_key true;
+  Fun.protect ~finally:(fun () -> Stdlib.Domain.DLS.set defer_key false) f
+
+let pending () = Atomic.get synced < Atomic.get appended
+
+let fsync_path path =
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd);
+  Metrics.incr c_syncs
+
+let sync () : (unit, Error.t) result =
+  let target = Atomic.get appended in
+  if Atomic.get synced >= target then Ok ()
+  else
+    Mutex.protect sync_lock @@ fun () ->
+    (* a caller that held the lock meanwhile may have covered us *)
+    if Atomic.get synced >= target then Ok ()
+    else
+      let upto, paths =
+        Mutex.protect io_lock (fun () ->
+            let paths = !dirty in
+            dirty := [];
+            (Atomic.get appended, paths))
+      in
+      let failed msg =
+        (* the entries stay pending: the next sync retries their files *)
+        Mutex.protect io_lock (fun () ->
+            dirty := List.sort_uniq compare (paths @ !dirty));
+        Result.Error
+          (Error.makef Error.Io Error.Io_failure "journal sync: %s" msg)
+      in
+      match
+        Fault.hit "journal.sync";
+        List.iter fsync_path paths
+      with
+      | () ->
+        Atomic.set synced upto;
+        Ok ()
+      | exception Fault.Injected site -> failed ("fault injected at " ^ site)
+      | exception Unix.Unix_error (err, _, path) ->
+        failed (Fmt.str "%s: %s" path (Unix.error_message err))
+
 let with_append ?(fsync = false) path (f : out_channel -> unit) :
   (unit, Error.t) result =
+  let defer = fsync && Stdlib.Domain.DLS.get defer_key in
   match
     let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        f oc;
-        flush oc;
-        if fsync then sync_out oc)
+        if defer then
+          Mutex.protect io_lock (fun () ->
+              Atomic.incr appended;
+              if not (List.mem path !dirty) then dirty := path :: !dirty;
+              f oc;
+              flush oc)
+        else (
+          f oc;
+          flush oc;
+          if fsync then (
+            sync_out oc;
+            Metrics.incr c_syncs)))
   with
   | () -> Ok ()
   | exception Sys_error msg -> Result.Error (io_error path msg)
@@ -136,8 +211,10 @@ let output_entry oc (e : entry) =
 
 (** Append one committed entry to the journal at [path], creating the
     file if needed. Flushed before returning; with [~fsync:true] also
-    fsynced, so the entry survives power loss. *)
+    fsynced — before returning, or by a later {!sync} inside
+    {!deferring} — so the entry survives power loss. *)
 let append ?fsync (path : string) (e : entry) : (unit, Error.t) result =
+  Metrics.incr c_appends;
   with_append ?fsync path (fun oc -> output_entry oc e)
 
 (** Stamp a leadership epoch: every entry appended after the marker

@@ -11,9 +11,12 @@
     in the snapshot next to the journal.
 
     Durability: {!append} flushes, so a committed entry survives a
-    process crash; [~fsync:true] additionally syncs the file
-    descriptor, so it survives an OS crash or power loss — the mode
-    replication leaders (and [--fsync]) run in. *)
+    process crash; [~fsync:true] also makes it survive an OS crash or
+    power loss — the mode replication leaders (and [--fsync]) run in.
+    Outside {!deferring} that fsync happens before [append] returns;
+    inside it (the serving loop of [fds serve]) one {!sync} covers
+    every entry appended before it, and the server sends nothing that
+    depends on an entry before the sync that covers it. *)
 
 open Fdbs_kernel
 
@@ -61,13 +64,35 @@ val parse_line : string -> line
 
 (** Append one committed entry, creating the file if needed; flushed
     before returning (the entry survives a process crash). With
-    [~fsync:true] (default false) the file descriptor is also synced,
-    so the entry survives an OS crash or power loss. *)
+    [~fsync:true] (default false) the file is also fsynced, so the
+    entry survives an OS crash or power loss: before [append] returns,
+    or — inside {!deferring} — by the next {!sync}. Counted in the
+    [journal.appends] metric; every fsync in [journal.syncs]. *)
 val append : ?fsync:bool -> string -> entry -> (unit, Error.t) result
 
 (** Append an [epoch n] marker: every entry after it belongs to
     leadership term [n]. Appended (fsynced) at leader boot. *)
 val append_epoch : ?fsync:bool -> string -> int -> (unit, Error.t) result
+
+(** {2 Group commit} *)
+
+(** [deferring f] runs [f] with this domain's fsync-mode appends
+    recording sync debt instead of fsyncing: they count as appended but
+    not yet synced until a {!sync} covers them. *)
+val deferring : (unit -> 'a) -> 'a
+
+(** Whether some deferred append is not yet covered by a {!sync}. One
+    atomic comparison. *)
+val pending : unit -> bool
+
+(** Make every deferred append made so far durable: fsync each file
+    written since the last sync (the [journal.sync] fault site fires
+    just before) and mark the appends counted before it synced. Returns
+    at once when nothing is pending; a caller that finds another's
+    fsync in progress waits for it and is skipped when it covered
+    them. On [Error] the appends stay pending; the caller must not
+    acknowledge them. *)
+val sync : unit -> (unit, Error.t) result
 
 (** Load every committed entry. The second component describes the
     torn tail, if any — a truncated final line, a malformed final

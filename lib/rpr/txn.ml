@@ -186,7 +186,7 @@ let run ?budget (txn : t) (calls : Journal.call list) (db : Db.t) :
                 Fault.hit "journal.append";
                 Journal.append ~fsync:txn.fsync path { Journal.calls })
         in
-        (* the commit is durable: publish the checks' materializations
+        (* the commit is journaled: publish the checks' materializations
            so the next commit advances from this state *)
         List.iter (fun publish -> publish ()) publishes;
         Ok final)

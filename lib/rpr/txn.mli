@@ -23,8 +23,8 @@ type t = {
           before the journal append. [delta] is the commit's exact
           {!Delta.of_dbs}[ ~before ~after], computed once per commit and
           shared with the constraint checks. [Ok publish] joins the constraint
-          materializations' publish phase — fired only once the commit
-          is durable; an [Error] rolls the transaction back. The
+          materializations' publish phase — fired only once the
+          commit's journal entry is written; an [Error] rolls the transaction back. The
           streaming {!Monitor}s ride this hook: observing monitors
           always return [Ok] (events are delivered in the publish
           thunk), enforcing ones turn a violation into a rollback. *)

@@ -2,23 +2,35 @@
    session per connection over a shared store. Every serving domain,
    the main one included, runs one loop: take a ready connection, or
    select over the parked (quiet) ones when no other domain is
-   polling, and serve what is ready itself — drain every buffered
-   frame into one corked flush, then park the connection again. No
-   domain blocks on a socket read, so any number of open connections
-   multiplex over a few domains. All database mutation is serialized
-   by the store lock inside Session, so concurrent connections observe
-   serializable transactions.
+   polling, and serve what is ready itself — answer every buffered
+   frame into the connection's output buffer, then flush it and park
+   the connection again. No domain blocks on a socket read, so any
+   number of open connections multiplex over a few domains. All
+   database mutation is serialized by the store lock inside Session,
+   so concurrent connections observe serializable transactions.
+
+   Group commit: a leader's journal is fsynced for power-loss
+   durability, but not under the store lock and not once per commit.
+   A commit served here appends its entry and records sync debt
+   ({!Journal.deferring}); the domain goes on serving the connections
+   already ready, and those that one more non-waiting poll finds, then
+   settles the batch with one fsync and flushes every reply. Every
+   flush of client output passes one gate ([flush_conn]) that first
+   makes the journal durable up to every entry appended so far, so an
+   ack follows the fsync that covers its entry, and no read reply,
+   pushed event or fetched entry carries a commit that a crash could
+   lose. A failed fsync acknowledges nothing
+   more: the server closes the connections and stops with an error.
 
    Replication: with a journal the server boots as a *leader* — it
    recovers the journal's committed state, stamps a fresh epoch, and
-   serves the `fetch` op from an incremental log view; journal appends
-   run with fsync for power-loss durability. With [?follow] it boots as
-   a *follower*: it recovers from its own snapshot + journal tail, then
-   a dedicated domain streams committed entries from the leader and
-   applies them through the Session machinery, while client
-   connections get read-only service (writes are rejected with a
-   structured Read_only error). Leader death degrades the follower to
-   read-only-and-reconnecting instead of an outage.
+   serves the `fetch` op from an incremental log view. With [?follow]
+   it boots as a *follower*: it recovers from its own snapshot +
+   journal tail, then a dedicated domain streams committed entries
+   from the leader and applies them through the Session machinery,
+   while client connections get read-only service (writes are
+   rejected with a structured Read_only error). Leader death degrades
+   the follower to read-only-and-reconnecting instead of an outage.
 
    Shutdown is cooperative: a "shutdown" request, SIGINT or SIGTERM
    sets the stop flag; the poller (a 0.2s select) notices, every
@@ -46,12 +58,14 @@ let describe : listen -> string = function
 type conn = {
   fd : Unix.file_descr;
   reader : Protocol.Reader.t;
+  out : Buffer.t;  (* replies not yet sent; leave only by [flush_conn] *)
   oc : out_channel;
+  closed : bool ref;
   wlock : Mutex.t;
-      (* serializes writes to [oc]: the serving domain's replies and
+      (* guards [out], [oc] and [closed]: the serving domain's replies and
          event frames pushed by committing domains interleave at frame
-         granularity. Never held across Session calls (the store lock
-         nests inside it, not around it). *)
+         granularity. Never held across Session calls; a committing
+         domain pushing events takes it inside the store lock. *)
   session : Session.t ref;  (* rebound by [attach] *)
   bucket : Budget.Bucket.t option;  (* per-connection request admission *)
   stopping : bool ref;  (* this connection carried a shutdown request *)
@@ -86,6 +100,7 @@ type t = {
   sub_lock : Mutex.t;
   connections : int Atomic.t;
   requests : int Atomic.t;
+  failed : Error.t option Atomic.t;  (* a journal sync failed: stopping *)
 }
 
 type stats = {
@@ -118,6 +133,36 @@ let request_stop server =
   let poke = server.polling in
   Mutex.unlock server.qlock;
   if poke then wake server
+
+(* A journal sync failed: the commits it should have covered may not
+   survive power loss, so nothing more is acknowledged. Stops the way a
+   signal does, taking no lock: a committing domain pushing events
+   calls it with the store lock held. *)
+let fail server (e : Error.t) =
+  if Atomic.compare_and_set server.failed None (Some e) then
+    Fmt.epr "fds: %s; stopping, restart recovers from the journal@."
+      (Error.to_string e);
+  Atomic.set server.stop true;
+  wake server
+
+(* Every byte bound for a client leaves through here. The journal is
+   first made durable up to every entry appended so far — one atomic
+   comparison when nothing is pending — so nothing reaches a client
+   ahead of the fsync that covers the commits it depends on. [false]
+   when nothing was sent and the connection is done for. *)
+let flush_conn server conn =
+  with_wlock conn @@ fun () ->
+  if !(conn.closed) || Atomic.get server.failed <> None then false
+  else if Buffer.length conn.out = 0 then true
+  else
+    match Journal.sync () with
+    | Result.Error e ->
+      fail server e;
+      false
+    | Ok () ->
+      Buffer.output_buffer conn.oc conn.out;
+      Buffer.clear conn.out;
+      (match flush conn.oc with () -> true | exception Sys_error _ -> false)
 
 let bad_request fmt =
   Fmt.kstr (fun m -> Error.make Error.Parse Error.Exec_failure m) fmt
@@ -221,9 +266,10 @@ let handle_attach server (req : Protocol.request) :
 
 (* Fan a batch of monitor events out to every subscribed connection as
    violation frames. Runs on the committing domain (the store sink is
-   called from the commit's publish phase), so pushes are short
-   buffered writes; a subscriber whose socket fails is dropped from
-   the registry and closed when the poller next finds it at EOF. *)
+   called from the commit's publish phase, under the store lock), and
+   the frames go through the flush gate: on a journaled store that
+   fsyncs the commit first. A subscriber whose socket fails is dropped
+   from the registry and closed when the poller next finds it at EOF. *)
 let broadcast_events server (events : Monitor.event list) =
   Mutex.lock server.sub_lock;
   let subs = Hashtbl.fold (fun _ c acc -> c :: acc) server.subscribers [] in
@@ -232,16 +278,14 @@ let broadcast_events server (events : Monitor.event list) =
     let frames = List.map Protocol.violation_frame events in
     List.iter
       (fun conn ->
-        match
-          with_wlock conn (fun () ->
-              List.iter (Protocol.output_frame conn.oc) frames;
-              flush conn.oc)
-        with
-        | () -> Metrics.add c_events_pushed (List.length frames)
-        | exception Sys_error _ ->
+        with_wlock conn (fun () ->
+            List.iter (Protocol.add_frame conn.out) frames);
+        if flush_conn server conn then
+          Metrics.add c_events_pushed (List.length frames)
+        else (
           Mutex.lock server.sub_lock;
           Hashtbl.remove server.subscribers conn.fd;
-          Mutex.unlock server.sub_lock)
+          Mutex.unlock server.sub_lock))
       subs
   end
 
@@ -254,21 +298,21 @@ let handle_subscribe server conn (req : Protocol.request) : unit =
   match Session.monitor !(conn.session) with
   | Result.Error e ->
     with_wlock conn (fun () ->
-        Protocol.output_frame conn.oc (Protocol.error_response ~id e))
+        Protocol.add_frame conn.out (Protocol.error_response ~id e))
   | Ok status ->
     Mutex.lock server.sub_lock;
     Hashtbl.replace server.subscribers conn.fd conn;
     Mutex.unlock server.sub_lock;
     Metrics.incr c_subscribed;
     with_wlock conn (fun () ->
-        Protocol.output_frame conn.oc
+        Protocol.add_frame conn.out
           (Protocol.ok_response ~id
              (Json.Obj
                 [
                   ("subscribed", Json.Bool true);
                   ("theory", Json.Str status.Session.mon_theory);
                 ]));
-        Protocol.output_frame conn.oc
+        Protocol.add_frame conn.out
           (Protocol.heartbeat_frame ~commits:status.Session.mon_commits
              ~violations:status.Session.mon_violations))
 
@@ -284,17 +328,21 @@ let unsubscribe server conn =
 (* Connections are multiplexed, not owned: a domain serves a *ready*
    connection by draining every frame the client has already sent
    (answering into the output buffer), flushing once the pipeline is
-   empty, and parking the quiet connection where the poller watches
-   it. No domain ever blocks on a socket read — a client may hold any
-   number of open connections (`fds client --pool`, or simply an idle
-   session) without starving the others, and a pipelined burst of N
-   requests gets N responses in order behind one corked flush. *)
+   empty — at once, or when its batch settles if a commit left the
+   journal unsynced — and parking the quiet connection where the
+   poller watches it. No domain ever blocks on a socket read — a
+   client may hold any number of open connections (`fds client
+   --pool`, or simply an idle session) without starving the others,
+   and a pipelined burst of N requests gets N responses in order
+   behind one write. *)
 
 let new_conn server fd =
   {
     fd;
     reader = Protocol.Reader.create fd;
+    out = Buffer.create 4096;
     oc = Unix.out_channel_of_descr fd;
+    closed = ref false;
     wlock = Mutex.create ();
     session = ref (Session.on_store server.store);
     bucket =
@@ -334,8 +382,7 @@ let features_of server conn =
   | None -> []
 
 let handle_frame server conn payload =
-  let oc = conn.oc in
-  let write r = with_wlock conn (fun () -> Protocol.output_frame oc r) in
+  let write r = with_wlock conn (fun () -> Protocol.add_frame conn.out r) in
   match Protocol.request_of_string payload with
   | Result.Error (id, e) ->
     (* a parse failure is the client's malformed frame, not a served
@@ -390,13 +437,16 @@ let handle_frame server conn payload =
              write r;
              conn.stopping := true)))
 
-(* [close_out_noerr] flushes buffered replies (the shutdown "bye"
-   included) before closing the underlying fd. *)
+(* Buffered replies (the shutdown "bye" included) are flushed through
+   the gate before the fd is closed. *)
 let close_conn server conn =
   if !(conn.stopping) then request_stop server;
   unsubscribe server conn;
   Session.close !(conn.session);
-  close_out_noerr conn.oc
+  ignore (flush_conn server conn);
+  with_wlock conn (fun () ->
+      conn.closed := true;
+      close_out_noerr conn.oc)
 
 (* Park a drained connection where the poller watches it. Data that
    arrives between the last read and the next select is not lost:
@@ -410,42 +460,38 @@ let park server conn =
   Mutex.unlock server.qlock;
   if poke then wake server
 
-let serve_ready server conn =
-  let step () =
-    let rec go () =
-      if !(conn.stopping) then `Close
-      else
-        match Protocol.Reader.next conn.reader ~block:false with
-        | `Eof -> `Close
-        | `Frame payload ->
-          handle_frame server conn payload;
-          go ()
-        | `Pending ->
-          (* pipeline drained: one corked flush, then back to the
-             watch set *)
-          with_wlock conn (fun () -> flush conn.oc);
-          `Park
-    in
-    try go () with
-    | Error.Error e ->
-      (* malformed frame: report once, then drop the connection *)
-      Metrics.incr c_bad_frames;
-      (try
-         with_wlock conn (fun () ->
-             Protocol.write_frame conn.oc
-               (Protocol.error_response ~id:Json.Null e))
-       with Sys_error _ -> ());
-      `Close
-    | End_of_file | Sys_error _ -> `Close
-    | Fault.Injected _ ->
-      (* an armed replication fault (e.g. replication.fetch) cuts the
-         stream mid-exchange: drop the connection without a reply, the
-         follower reconnects *)
-      `Close
+(* Answer every frame [conn] has buffered into its output buffer,
+   without flushing; say whether it goes back to the watch set. *)
+let drain server conn =
+  let rec go () =
+    if !(conn.stopping) then `Close
+    else
+      match Protocol.Reader.next conn.reader ~block:false with
+      | `Eof -> `Close
+      | `Frame payload ->
+        handle_frame server conn payload;
+        go ()
+      | `Pending -> `Park
   in
-  match step () with
-  | `Park -> park server conn
-  | `Close -> close_conn server conn
+  try go () with
+  | Error.Error e ->
+    (* malformed frame: report once, then drop the connection *)
+    Metrics.incr c_bad_frames;
+    with_wlock conn (fun () ->
+        Protocol.add_frame conn.out (Protocol.error_response ~id:Json.Null e));
+    `Close
+  | End_of_file | Sys_error _ -> `Close
+  | Fault.Injected _ ->
+    (* an armed replication fault (e.g. replication.fetch) cuts the
+       stream mid-exchange: drop the connection without a reply, the
+       follower reconnects *)
+    `Close
+
+(* Send a drained connection's replies, then park or close it. *)
+let finish server (conn, next) =
+  match next with
+  | `Park when flush_conn server conn -> park server conn
+  | `Park | `Close -> close_conn server conn
 
 (* Shed load instead of queueing without bound: a connection accepted
    while the queue is already [max_queue] deep gets one structured
@@ -478,7 +524,7 @@ let accept_one server =
 (* Select over the listening socket, the wake pipe and the parked
    connections; queue those with input, then accept a new one. Called
    and returns with [qlock] held; the select runs without it. *)
-let poll server =
+let poll ?(timeout = 0.2) server =
   server.polling <- true;
   let watch =
     server.sock :: server.wake_r
@@ -486,7 +532,7 @@ let poll server =
   in
   Mutex.unlock server.qlock;
   let ready =
-    match Unix.select watch [] [] 0.2 with
+    match Unix.select watch [] [] timeout with
     | ready, _, _ -> ready
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   in
@@ -511,28 +557,57 @@ let poll server =
    or wait on [qcond] until that one queues work or stops polling. A
    domain that takes a connection signals [qcond] when work is still
    queued or nobody polls, so the poll passes on while it serves; with
-   one serving domain nobody waits and the signal costs no syscall. *)
+   one serving domain nobody waits and the signal costs no syscall.
+
+   A served connection whose replies may depend on an unsynced journal
+   entry joins the domain's batch instead of being flushed. Once the
+   ready queue is empty the domain polls once more without waiting, so
+   a commit that arrived while the batch was served joins it; then the
+   batch settles: the first flush runs the one fsync, the rest find the
+   journal durable. Without that poll two closed-loop committers fall
+   into lockstep, each request arriving during the other's batch, and
+   every fsync covers one commit. With nothing pending (no journal, or
+   no commit) each connection is flushed at once. *)
 let serving_loop server () =
+  Journal.deferring @@ fun () ->
+  let settle batch = List.iter (finish server) (List.rev batch) in
   Mutex.lock server.qlock;
-  let rec loop () =
+  let rec loop ~repolled batch =
     if Atomic.get server.stop then (
       Condition.broadcast server.qcond;
-      Mutex.unlock server.qlock)
+      Mutex.unlock server.qlock;
+      settle batch)
     else
       match Queue.take_opt server.queue with
-      | None ->
-        if server.polling then Condition.wait server.qcond server.qlock
-        else poll server;
-        loop ()
       | Some conn ->
         if not (server.polling && Queue.is_empty server.queue) then
           Condition.signal server.qcond;
         Mutex.unlock server.qlock;
-        serve_ready server conn;
+        let served = (conn, drain server conn) in
+        let batch =
+          if Journal.pending () then served :: batch
+          else (
+            finish server served;
+            batch)
+        in
         Mutex.lock server.qlock;
-        loop ()
+        loop ~repolled batch
+      | None when batch <> [] && not (repolled || server.polling) ->
+        poll ~timeout:0. server;
+        loop ~repolled:true batch
+      | None when batch <> [] ->
+        (* the poll passes on while this domain fsyncs *)
+        if not server.polling then Condition.signal server.qcond;
+        Mutex.unlock server.qlock;
+        settle batch;
+        Mutex.lock server.qlock;
+        loop ~repolled:false []
+      | None ->
+        if server.polling then Condition.wait server.qcond server.qlock
+        else poll server;
+        loop ~repolled:false []
   in
-  loop ()
+  loop ~repolled:false []
 
 let io_error fmt =
   Fmt.kstr (fun m -> Error.make Error.Io Error.Io_failure m) fmt
@@ -659,7 +734,8 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
   Metrics.set c_workers workers;
   (* Followers apply leader entries as checked transactions journaled
      locally, so their mode is forced transactional; leaders journal
-     with fsync so a committed entry survives power loss. *)
+     with fsync (grouped per served batch) so an acknowledged commit
+     survives power loss. *)
   let* config =
     match (follow, config.Config.journal) with
     | Some _, None ->
@@ -764,6 +840,7 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
         sub_lock = Mutex.create ();
         connections = Atomic.make 0;
         requests = Atomic.make 0;
+        failed = Atomic.make None;
       }
     in
     (* monitor events fan out to subscribed connections from the
@@ -816,14 +893,21 @@ let serve ?workers:(requested = 0) ?spec ?(config = Config.default)
        still queued or parked, then the self-pipe *)
     Queue.iter (close_conn server) server.queue;
     Hashtbl.iter (fun _ conn -> close_conn server conn) server.parked;
+    (* a commit whose client left before its reply is still made
+       durable by a graceful stop *)
+    if Atomic.get server.failed = None then
+      Result.iter_error (fail server) (Journal.sync ());
     Unix.close wake_r;
     Unix.close wake_w;
     Unix.close sock;
     (match listen with
      | `Unix path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
      | `Tcp _ -> ());
-    Ok
-      {
-        served_connections = Atomic.get server.connections;
-        served_requests = Atomic.get server.requests;
-      }
+    match Atomic.get server.failed with
+    | Some e -> Result.Error e
+    | None ->
+      Ok
+        {
+          served_connections = Atomic.get server.connections;
+          served_requests = Atomic.get server.requests;
+        }

@@ -40,8 +40,10 @@ val worker_count : requested:int -> cores:int -> follow:bool -> int
 
     Replication: with a journal in [config] (and no [follow]) the
     server is a {e leader} — it recovers the journal's committed state
-    at boot, stamps a fresh epoch, journals with fsync, and serves the
-    [fetch] op. With [follow] (the leader's address) it is a
+    at boot, stamps a fresh epoch, journals with fsync — one per
+    served batch of commits, before any of its replies — and serves
+    the [fetch] op. A failed fsync stops the server: it returns
+    [Error] and acknowledges nothing the fsync should have covered. With [follow] (the leader's address) it is a
     {e follower}: [config] must carry the replica's own journal; the
     server recovers from snapshot + journal tail, streams committed
     entries from the leader in a dedicated domain, snapshots every

@@ -1168,6 +1168,337 @@ let test_one_domain_no_stall () =
   List.iter Unix.close [ half; silent; busy ];
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
+(* --- group commit: one fsync per served batch --- *)
+
+let client path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a reply that never comes fails the test instead of hanging it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  fd
+
+let send_frames fd payloads =
+  let s = String.concat "" (List.map frame_bytes payloads) in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+let next_frame r =
+  match Protocol.Reader.next r ~block:true with
+  | `Frame p -> Some p
+  | `Eof | `Pending -> None
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Alcotest.fail "no reply and no close within 5 s"
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
+
+(* Every frame until the server closes the connection. *)
+let frames_until_eof fd =
+  let r = Protocol.Reader.create fd in
+  let rec go acc =
+    match next_frame r with Some p -> go (p :: acc) | None -> List.rev acc
+  in
+  go []
+
+let sock_path tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Fmt.str "fds_%s_%d.sock" tag (Unix.getpid ()))
+
+let run_frame id call = Fmt.str {|{"id": %d, "op": "run", "calls": ["%s"]}|} id call
+
+let syncs = Metrics.counter "journal.syncs"
+
+(* An in-process [--workers 1] server: [f] gets its socket path. *)
+let with_server ?config f =
+  let path = sock_path "group" in
+  let up = Atomic.make false and finished = Atomic.make false in
+  let server =
+    Stdlib.Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set finished true)
+          (fun () ->
+            Server.serve ~workers:1 ?config
+              ~ready:(fun () -> Atomic.set up true)
+              (`Unix path) schema))
+  in
+  while not (Atomic.get up || Atomic.get finished) do Unix.sleepf 0.01 done;
+  let result = f path in
+  let fd = client path in
+  send_frames fd [ {|{"id": 0, "op": "shutdown"}|} ];
+  ignore (frames_until_eof fd);
+  Unix.close fd;
+  (match Stdlib.Domain.join server with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "serve: %s" (Error.to_string e));
+  result
+
+(* Ten commits pipelined in one write are served in one batch: ten
+   acks behind one fsync, where an fsync per commit would make ten. *)
+let ten_commits_syncs path =
+  let fd = client path in
+  let s0 = Metrics.value syncs in
+  send_frames fd
+    (run_frame 1 "initiate()"
+    :: List.init 9 (fun i -> run_frame (i + 2) (Fmt.str "offer(c%d)" i)));
+  let r = Protocol.Reader.create fd in
+  for i = 1 to 10 do
+    match next_frame r with
+    | Some p ->
+      Alcotest.(check bool)
+        (Fmt.str "reply %d is ok" i)
+        true
+        (Json.field "ok" (Json.parse p) = Some (Json.Bool true))
+    | None -> Alcotest.failf "closed after %d replies" (i - 1)
+  done;
+  Unix.close fd;
+  Metrics.value syncs - s0
+
+let test_group_commit_one_sync () =
+  let journal = Filename.temp_file "fds_group" ".journal" in
+  Sys.remove journal;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists journal then Sys.remove journal)
+  @@ fun () ->
+  let config = Config.make ~transactional:true ~journal () in
+  Alcotest.(check int) "journaled: one fsync for the batch" 1
+    (with_server ~config ten_commits_syncs);
+  (match Journal.load journal with
+   | Ok (entries, None) ->
+     Alcotest.(check int) "every acknowledged commit journaled" 10
+       (List.length entries)
+   | Ok (_, Some torn) -> Alcotest.failf "torn journal: %s" torn
+   | Error e -> Alcotest.failf "journal: %s" (Error.to_string e));
+  Alcotest.(check int) "no journal: no fsync" 0
+    (with_server ~config:(Config.make ~transactional:true ()) ten_commits_syncs)
+
+(* The fault tests run the real binary: a failed sync stops the whole
+   server, and the exit status is part of what they check. *)
+
+let fds_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/fds.exe"
+
+let monitored_schema =
+  {|
+schema guarded
+
+relation OFFERED(course)
+relation TAKES(student, course)
+
+constraint takes_offered: forall s:student. forall c:course. (TAKES(s, c) -> OFFERED(c))
+
+proc initiate() =
+  (OFFERED := {(c:course) | false} ; TAKES := {(s:student, c:course) | false})
+
+proc offer(c: course) = insert OFFERED(c)
+
+proc retract(c: course) =
+  if (~(exists s:student. TAKES(s, c))) then delete OFFERED(c)
+
+end-schema
+|}
+
+let monitored_theory =
+  {|
+theory guarded
+
+sort course
+sort student
+
+pred offered : course
+pred takes : student, course
+
+axiom takes_offered: forall s:student, c:course. (takes(s, c) -> offered(c))
+
+axiom no_retract: forall c:course. (offered(c) -> box offered(c))
+|}
+
+let write_temp suffix text =
+  let path = Filename.temp_file "fds_group" suffix in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  path
+
+type proc = { pid : int; sock : string; journal : string }
+
+(* Servers spawned by the current test, reaped by [with_files] even
+   when the test fails. *)
+let spawned = ref []
+
+let reap pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ ->
+    Unix.kill pid Sys.sigkill;
+    ignore (Unix.waitpid [] pid)
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+(* Boot [fds serve] as a journaled leader with [args] appended. *)
+let spawn_leader ?(args = []) ~schema_file ~journal tag =
+  let sock = sock_path tag in
+  if Sys.file_exists sock then Sys.remove sock;
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let argv =
+    Array.of_list
+      ([ fds_exe; "serve"; schema_file; "--socket"; sock; "--transactional";
+         "--journal"; journal ]
+      @ args)
+  in
+  let pid = Unix.create_process fds_exe argv null null null in
+  Unix.close null;
+  spawned := pid :: !spawned;
+  let rec wait n =
+    if Sys.file_exists sock then ()
+    else if n = 0 then Alcotest.fail "server did not come up"
+    else (Unix.sleepf 0.02; wait (n - 1))
+  in
+  wait 500;
+  { pid; sock; journal }
+
+(* The exit code of [p], which must stop on its own within 5 s. *)
+let exit_code p =
+  let rec go n =
+    match Unix.waitpid [ Unix.WNOHANG ] p.pid with
+    | 0, _ when n > 0 -> Unix.sleepf 0.02; go (n - 1)
+    | 0, _ -> Alcotest.fail "server still running 5 s after it should stop"
+    | _, Unix.WEXITED c -> c
+    | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) -> Alcotest.failf "server killed by signal %d" s
+  in
+  go 250
+
+(* Run the client side [f] while the server is stopped, so that its
+   next poll finds everything [f] sent at once. *)
+let while_stopped p f =
+  Unix.kill p.pid Sys.sigstop;
+  (match Unix.waitpid [ Unix.WUNTRACED ] p.pid with
+   | _, Unix.WSTOPPED _ -> ()
+   | _ -> Alcotest.fail "server did not stop");
+  Fun.protect ~finally:(fun () -> Unix.kill p.pid Sys.sigcont) f
+
+let journal_entries path =
+  match Journal.load path with
+  | Ok (entries, _) -> List.map (fun (e : Journal.entry) -> e.Journal.calls) entries
+  | Error e -> Alcotest.failf "journal: %s" (Error.to_string e)
+
+let with_files f =
+  let schema_file = write_temp ".schema" monitored_schema in
+  let theory_file = write_temp ".theory" monitored_theory in
+  let journal = Filename.temp_file "fds_group" ".journal" in
+  Sys.remove journal;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter reap !spawned;
+      spawned := [];
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ schema_file; theory_file; journal ])
+    (fun () -> f ~schema_file ~theory_file ~journal)
+
+let query_frame id =
+  Fmt.str
+    {|{"id": %d, "op": "query", "wff": "OFFERED(c)", "params": [["c", "course", "cs101"]]}|}
+    id
+
+(* With the journal.sync fault armed, a pipelined [run, query] gets
+   neither reply — no ack, and no read that saw the unsynced commit —
+   and the server stops with an error; a restart replays the journal
+   to a committed prefix. *)
+let test_failed_sync_acks_nothing () =
+  with_files @@ fun ~schema_file ~theory_file:_ ~journal ->
+  let p = spawn_leader ~schema_file ~journal ~args:[ "--fault"; "journal.sync" ] "nosync" in
+  let fd = client p.sock in
+  send_frames fd [ run_frame 1 "offer(cs101)"; query_frame 2 ];
+  Alcotest.(check (list string)) "no reply at all" [] (frames_until_eof fd);
+  Unix.close fd;
+  Alcotest.(check bool) "exit status is an error" true (exit_code p <> 0);
+  let entries = journal_entries journal in
+  Alcotest.(check bool) "the journal holds a prefix of the commits" true
+    (List.length entries <= 1);
+  let again = spawn_leader ~schema_file ~journal "restart" in
+  let fd = client again.sock in
+  send_frames fd [ query_frame 3; {|{"id": 4, "op": "shutdown"}|} ];
+  (match frames_until_eof fd with
+   | [ q; _bye ] ->
+     Alcotest.(check string) "the restart serves the journal's state"
+       (Fmt.str {|{"id": 3, "ok": true, "result": %b}|} (entries <> []))
+       q
+   | fs -> Alcotest.failf "restart replied %d frames" (List.length fs));
+  Unix.close fd;
+  Alcotest.(check int) "the restart stops cleanly" 0 (exit_code again)
+
+(* A subscriber gets no violation frame for a commit whose sync failed:
+   the push goes through the same gate as the replies. *)
+let test_failed_sync_pushes_nothing () =
+  with_files @@ fun ~schema_file ~theory_file ~journal ->
+  let p =
+    spawn_leader ~schema_file ~journal
+      ~args:[ "--monitors"; theory_file; "--fault"; "journal.sync:1" ]
+      "nopush"
+  in
+  let sub = client p.sock in
+  send_frames sub [ {|{"id": 1, "op": "subscribe"}|} ];
+  let sr = Protocol.Reader.create sub in
+  let subscribed = next_frame sr and heartbeat = next_frame sr in
+  Alcotest.(check bool) "subscribed, heartbeat" true
+    (subscribed <> None && heartbeat <> None);
+  let w = client p.sock in
+  let wr = Protocol.Reader.create w in
+  send_frames w [ {|{"id": 2, "op": "run", "calls": ["initiate()", "offer(cs101)"]}|} ];
+  Alcotest.(check bool) "the first commit is acknowledged" true (next_frame wr <> None);
+  (* breaks no_retract: the second sync, armed to fail, covers it *)
+  send_frames w [ run_frame 3 "retract(cs101)" ];
+  Alcotest.(check (option string)) "no ack" None (next_frame wr);
+  let rec rest acc = match next_frame sr with Some f -> rest (f :: acc) | None -> acc in
+  Alcotest.(check (list string)) "no violation frame" [] (rest []);
+  List.iter Unix.close [ sub; w ];
+  Alcotest.(check bool) "exit status is an error" true (exit_code p <> 0)
+
+(* A fetch served in the same batch as a commit reads the commit's
+   entry from the journal file, so its reply waits for the sync too:
+   delivered after it (control), never when it fails. The committer is
+   parked and the fetcher still unaccepted when both send, so one poll
+   queues the committer first and accepts the fetcher behind it; with
+   one serving domain they are served in that order. *)
+let test_fetch_waits_for_sync () =
+  with_files @@ fun ~schema_file ~theory_file:_ ~journal ->
+  let fetch = {|{"id": 9, "op": "fetch", "from": 0}|} in
+  let fetched_offsets reply =
+    match Json.field "result" (Json.parse reply) with
+    | Some res ->
+      (match Json.field "entries" res with
+       | Some (Json.Arr es) ->
+         List.filter_map
+           (fun e -> Option.bind (Json.field "offset" e) Json.to_int_opt)
+           es
+       | _ -> [])
+    | None -> Alcotest.failf "fetch failed: %s" reply
+  in
+  let round args =
+    let p =
+      spawn_leader ~schema_file ~journal ~args:("--workers" :: "1" :: args) "fetch"
+    in
+    let w = client p.sock in
+    send_frames w [ {|{"id": 0, "op": "ping"}|} ];
+    if next_frame (Protocol.Reader.create w) = None then
+      Alcotest.fail "no pong";
+    let f =
+      while_stopped p (fun () ->
+          send_frames w [ run_frame 1 "offer(cs101)" ];
+          let f = client p.sock in
+          send_frames f [ fetch ];
+          f)
+    in
+    let got = next_frame (Protocol.Reader.create f) in
+    List.iter Unix.close [ w; f ];
+    (p, got)
+  in
+  let p, got = round [] in
+  (match got with
+   | Some reply ->
+     Alcotest.(check (list int)) "control: the batch's fetch sees the commit"
+       [ 1 ] (fetched_offsets reply)
+   | None -> Alcotest.fail "control: no fetch reply");
+  Unix.kill p.pid Sys.sigterm;
+  Alcotest.(check int) "control server stops cleanly" 0 (exit_code p);
+  Sys.remove journal;
+  let p, got = round [ "--fault"; "journal.sync" ] in
+  Alcotest.(check (option string)) "no fetch reply past a failed sync" None got;
+  Alcotest.(check bool) "exit status is an error" true (exit_code p <> 0)
+
 let suite =
   [
     Alcotest.test_case "planner cache stays warm across session calls" `Quick
@@ -1217,6 +1548,14 @@ let suite =
     Alcotest.test_case "serve: one live domain per core" `Quick test_worker_count;
     Alcotest.test_case "serve: one domain serves past quiet connections" `Quick
       test_one_domain_no_stall;
+    Alcotest.test_case "group commit: one fsync per served batch" `Quick
+      test_group_commit_one_sync;
+    Alcotest.test_case "group commit: a failed sync acks nothing" `Quick
+      test_failed_sync_acks_nothing;
+    Alcotest.test_case "group commit: a failed sync pushes no event" `Quick
+      test_failed_sync_pushes_nothing;
+    Alcotest.test_case "group commit: a fetch waits for the sync" `Quick
+      test_fetch_waits_for_sync;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
