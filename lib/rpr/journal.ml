@@ -129,6 +129,11 @@ let io_lock = Mutex.create ()
 let dirty : string list ref = ref []  (* guarded by [io_lock] *)
 (* one fsync at a time; a caller arriving during it joins the next *)
 let sync_lock = Mutex.create ()
+(* The first failed sync, set before [sync_lock] is released and never
+   cleared. After an fsync error the kernel may already have marked the
+   lost pages clean, so a retry can report success for entries that are
+   not on disk: no later sync may succeed. *)
+let broken : Error.t option Atomic.t = Atomic.make None
 let defer_key = Stdlib.Domain.DLS.new_key (fun () -> false)
 
 let deferring f =
@@ -144,12 +149,17 @@ let fsync_path path =
 
 let sync () : (unit, Error.t) result =
   let target = Atomic.get appended in
-  if Atomic.get synced >= target then Ok ()
-  else
+  match Atomic.get broken with
+  | Some e -> Result.Error e
+  | None when Atomic.get synced >= target -> Ok ()
+  | None ->
     Mutex.protect sync_lock @@ fun () ->
-    (* a caller that held the lock meanwhile may have covered us *)
-    if Atomic.get synced >= target then Ok ()
-    else
+    (* a caller that held the lock meanwhile may have covered us, or
+       failed *)
+    match Atomic.get broken with
+    | Some e -> Result.Error e
+    | None when Atomic.get synced >= target -> Ok ()
+    | None ->
       let upto, paths =
         Mutex.protect io_lock (fun () ->
             let paths = !dirty in
@@ -157,22 +167,20 @@ let sync () : (unit, Error.t) result =
             (Atomic.get appended, paths))
       in
       let failed msg =
-        (* the entries stay pending: the next sync retries their files *)
-        Mutex.protect io_lock (fun () ->
-            dirty := List.sort_uniq compare (paths @ !dirty));
-        Result.Error
-          (Error.makef Error.Io Error.Io_failure "journal sync: %s" msg)
+        let e = Error.makef Error.Io Error.Io_failure "journal sync: %s" msg in
+        Atomic.set broken (Some e);
+        Result.Error e
       in
-      match
-        Fault.hit "journal.sync";
-        List.iter fsync_path paths
-      with
-      | () ->
-        Atomic.set synced upto;
-        Ok ()
-      | exception Fault.Injected site -> failed ("fault injected at " ^ site)
-      | exception Unix.Unix_error (err, _, path) ->
-        failed (Fmt.str "%s: %s" path (Unix.error_message err))
+      (match
+         Fault.hit "journal.sync";
+         List.iter fsync_path paths
+       with
+       | () ->
+         Atomic.set synced upto;
+         Ok ()
+       | exception Fault.Injected site -> failed ("fault injected at " ^ site)
+       | exception Unix.Unix_error (err, _, path) ->
+         failed (Fmt.str "%s: %s" path (Unix.error_message err)))
 
 let with_append ?(fsync = false) path (f : out_channel -> unit) :
   (unit, Error.t) result =

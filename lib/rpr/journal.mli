@@ -90,8 +90,10 @@ val pending : unit -> bool
     just before) and mark the appends counted before it synced. Returns
     at once when nothing is pending; a caller that finds another's
     fsync in progress waits for it and is skipped when it covered
-    them. On [Error] the appends stay pending; the caller must not
-    acknowledge them. *)
+    them. A failure is permanent: this call and every later one return
+    the same [Error] (after a failed fsync the kernel may report a
+    retry as successful for pages it has already dropped), so nothing
+    appended before or after it may be acknowledged. *)
 val sync : unit -> (unit, Error.t) result
 
 (** Load every committed entry. The second component describes the

@@ -151,10 +151,9 @@ let add_frame (b : Buffer.t) (payload : string) : unit =
   Buffer.add_char b '\n'
 
 let write_frame (oc : out_channel) (payload : string) : unit =
-  output_string oc (string_of_int (String.length payload));
-  output_char oc '\n';
-  output_string oc payload;
-  output_char oc '\n';
+  let b = Buffer.create (String.length payload + 16) in
+  add_frame b payload;
+  Buffer.output_buffer oc b;
   flush oc
 
 (* --- the server's pipelined reader --- *)

@@ -160,9 +160,18 @@ let flush_conn server conn =
       fail server e;
       false
     | Ok () ->
-      Buffer.output_buffer conn.oc conn.out;
+      (* a reply longer than the channel's buffer is written while it
+         is copied, so the copy can fail on a vanished peer too *)
+      let sent =
+        match
+          Buffer.output_buffer conn.oc conn.out;
+          flush conn.oc
+        with
+        | () -> true
+        | exception Sys_error _ -> false
+      in
       Buffer.clear conn.out;
-      (match flush conn.oc with () -> true | exception Sys_error _ -> false)
+      sent
 
 let bad_request fmt =
   Fmt.kstr (fun m -> Error.make Error.Parse Error.Exec_failure m) fmt

@@ -1499,6 +1499,29 @@ let test_fetch_waits_for_sync () =
   Alcotest.(check (option string)) "no fetch reply past a failed sync" None got;
   Alcotest.(check bool) "exit status is an error" true (exit_code p <> 0)
 
+(* A client that pipelines requests whose replies pass the reply
+   channel's 64 KB buffer, then leaves without reading, costs only its
+   own connection: the failed write closes it and the server goes on
+   serving. The server is stopped while the client writes and leaves,
+   so one drain answers the whole burst and one flush meets the closed
+   peer. *)
+let test_vanished_reader () =
+  with_files @@ fun ~schema_file ~theory_file:_ ~journal ->
+  let p = spawn_leader ~schema_file ~journal ~args:[ "--workers"; "1" ] "vanish" in
+  while_stopped p (fun () ->
+      let fd = client p.sock in
+      send_frames fd
+        (List.init 3000 (fun i -> Fmt.str {|{"id": %d, "op": "ping"}|} i));
+      Unix.close fd);
+  let fd = client p.sock in
+  send_frames fd [ {|{"id": 1, "op": "ping"}|}; {|{"id": 2, "op": "shutdown"}|} ];
+  Alcotest.(check (list string)) "the next connection is served"
+    [ {|{"id": 1, "ok": true, "result": "pong"}|};
+      {|{"id": 2, "ok": true, "result": "bye"}|} ]
+    (frames_until_eof fd);
+  Unix.close fd;
+  Alcotest.(check int) "the server stops cleanly" 0 (exit_code p)
+
 let suite =
   [
     Alcotest.test_case "planner cache stays warm across session calls" `Quick
@@ -1556,6 +1579,8 @@ let suite =
       test_failed_sync_pushes_nothing;
     Alcotest.test_case "group commit: a fetch waits for the sync" `Quick
       test_fetch_waits_for_sync;
+    Alcotest.test_case "serve: a reader that leaves costs only its connection"
+      `Quick test_vanished_reader;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
