@@ -142,18 +142,16 @@ let call_of_json (v : Json.t) : (Journal.call, Error.t) result =
 
 (* --- framing --- *)
 
-(* Append a frame to a buffer without sending it — the pipelined
-   server corks a burst of responses and sends them in one write. *)
-let add_frame (b : Buffer.t) (payload : string) : unit =
-  Buffer.add_string b (string_of_int (String.length payload));
-  Buffer.add_char b '\n';
-  Buffer.add_string b payload;
-  Buffer.add_char b '\n'
+(* Write a frame into the channel's buffer without flushing — the
+   pipelined server corks a burst of responses and flushes once. *)
+let output_frame (oc : out_channel) (payload : string) : unit =
+  output_string oc (string_of_int (String.length payload));
+  output_char oc '\n';
+  output_string oc payload;
+  output_char oc '\n'
 
 let write_frame (oc : out_channel) (payload : string) : unit =
-  let b = Buffer.create (String.length payload + 16) in
-  add_frame b payload;
-  Buffer.output_buffer oc b;
+  output_frame oc payload;
   flush oc
 
 (* --- the server's pipelined reader --- *)

@@ -61,11 +61,11 @@ val parse_call : string -> (Journal.call, Error.t) result
 
 val call_of_json : Json.t -> (Journal.call, Error.t) result
 
-(** Append a frame to a buffer without sending it — callers
-    pipelining several responses cork them and send once. *)
-val add_frame : Buffer.t -> string -> unit
+(** Buffer a frame without flushing — callers pipelining several
+    responses cork them and flush once. *)
+val output_frame : out_channel -> string -> unit
 
-(** Write one frame to a channel and flush it. *)
+(** {!output_frame} followed by a flush. *)
 val write_frame : out_channel -> string -> unit
 
 (** A buffered frame reader over a raw descriptor that can distinguish
@@ -140,7 +140,7 @@ val supported_ops : role:role -> string list
 val monitor_status_to_json : Session.monitor_status -> Json.t
 
 (** The serialized [{"event": "violation", ...}] frame for a monitor
-    event, ready for {!add_frame}. *)
+    event, ready for {!output_frame}. *)
 val violation_frame : Monitor.event -> string
 
 (** The serialized [{"event": "heartbeat", ...}] frame sent when a

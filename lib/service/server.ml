@@ -58,7 +58,9 @@ let describe : listen -> string = function
 type conn = {
   fd : Unix.file_descr;
   reader : Protocol.Reader.t;
-  out : Buffer.t;  (* replies not yet sent; leave only by [flush_conn] *)
+  out : string list ref;
+      (* frames answered but not yet sent, newest first; they leave only
+         through [flush_conn] *)
   oc : out_channel;
   closed : bool ref;
   wlock : Mutex.t;
@@ -74,6 +76,9 @@ type conn = {
 let with_wlock conn f =
   Mutex.lock conn.wlock;
   Fun.protect ~finally:(fun () -> Mutex.unlock conn.wlock) f
+
+let add_frames conn frames =
+  with_wlock conn (fun () -> conn.out := List.rev_append frames !(conn.out))
 
 type t = {
   store : Session.Store.t;
@@ -153,25 +158,23 @@ let fail server (e : Error.t) =
 let flush_conn server conn =
   with_wlock conn @@ fun () ->
   if !(conn.closed) || Atomic.get server.failed <> None then false
-  else if Buffer.length conn.out = 0 then true
+  else if !(conn.out) = [] then true
   else
     match Journal.sync () with
     | Result.Error e ->
       fail server e;
       false
     | Ok () ->
-      (* a reply longer than the channel's buffer is written while it
-         is copied, so the copy can fail on a vanished peer too *)
-      let sent =
-        match
-          Buffer.output_buffer conn.oc conn.out;
-          flush conn.oc
-        with
-        | () -> true
-        | exception Sys_error _ -> false
-      in
-      Buffer.clear conn.out;
-      sent
+      let frames = List.rev !(conn.out) in
+      conn.out := [];
+      (* the channel writes whenever its buffer fills, so a long burst
+         can fail on a vanished peer before the final flush *)
+      (match
+         List.iter (Protocol.output_frame conn.oc) frames;
+         flush conn.oc
+       with
+       | () -> true
+       | exception Sys_error _ -> false)
 
 let bad_request fmt =
   Fmt.kstr (fun m -> Error.make Error.Parse Error.Exec_failure m) fmt
@@ -287,8 +290,7 @@ let broadcast_events server (events : Monitor.event list) =
     let frames = List.map Protocol.violation_frame events in
     List.iter
       (fun conn ->
-        with_wlock conn (fun () ->
-            List.iter (Protocol.add_frame conn.out) frames);
+        add_frames conn frames;
         if flush_conn server conn then
           Metrics.add c_events_pushed (List.length frames)
         else (
@@ -306,24 +308,23 @@ let handle_subscribe server conn (req : Protocol.request) : unit =
   let id = req.Protocol.id in
   match Session.monitor !(conn.session) with
   | Result.Error e ->
-    with_wlock conn (fun () ->
-        Protocol.add_frame conn.out (Protocol.error_response ~id e))
+    add_frames conn [ Protocol.error_response ~id e ]
   | Ok status ->
     Mutex.lock server.sub_lock;
     Hashtbl.replace server.subscribers conn.fd conn;
     Mutex.unlock server.sub_lock;
     Metrics.incr c_subscribed;
-    with_wlock conn (fun () ->
-        Protocol.add_frame conn.out
-          (Protocol.ok_response ~id
-             (Json.Obj
-                [
-                  ("subscribed", Json.Bool true);
-                  ("theory", Json.Str status.Session.mon_theory);
-                ]));
-        Protocol.add_frame conn.out
-          (Protocol.heartbeat_frame ~commits:status.Session.mon_commits
-             ~violations:status.Session.mon_violations))
+    add_frames conn
+      [
+        Protocol.ok_response ~id
+          (Json.Obj
+             [
+               ("subscribed", Json.Bool true);
+               ("theory", Json.Str status.Session.mon_theory);
+             ]);
+        Protocol.heartbeat_frame ~commits:status.Session.mon_commits
+          ~violations:status.Session.mon_violations;
+      ]
 
 let unsubscribe server conn =
   Mutex.lock server.sub_lock;
@@ -349,7 +350,7 @@ let new_conn server fd =
   {
     fd;
     reader = Protocol.Reader.create fd;
-    out = Buffer.create 4096;
+    out = ref [];
     oc = Unix.out_channel_of_descr fd;
     closed = ref false;
     wlock = Mutex.create ();
@@ -391,7 +392,7 @@ let features_of server conn =
   | None -> []
 
 let handle_frame server conn payload =
-  let write r = with_wlock conn (fun () -> Protocol.add_frame conn.out r) in
+  let write r = add_frames conn [ r ] in
   match Protocol.request_of_string payload with
   | Result.Error (id, e) ->
     (* a parse failure is the client's malformed frame, not a served
@@ -486,8 +487,7 @@ let drain server conn =
   | Error.Error e ->
     (* malformed frame: report once, then drop the connection *)
     Metrics.incr c_bad_frames;
-    with_wlock conn (fun () ->
-        Protocol.add_frame conn.out (Protocol.error_response ~id:Json.Null e));
+    add_frames conn [ Protocol.error_response ~id:Json.Null e ];
     `Close
   | End_of_file | Sys_error _ -> `Close
   | Fault.Injected _ ->
